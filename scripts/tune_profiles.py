@@ -9,7 +9,9 @@ Two fits:
      N=8 case costs the measured 155.4 GFlop, then choose link bandwidth
      and latency minimizing the worst efficiency deviation from the
      measured strong-scaling curve (the core rate is pinned by the 243.59 s
-     single-rank step).
+     single-rank step).  The efficiencies come from gamma.predict_time on
+     the per-P counts of harness.point_counts, the model every campaign
+     uses.
   2. The degree-sweep twin: least-squares fit of rate(N) = peak*(1-c/(N+1))
      to the measured per-rank rates.
 """
@@ -17,8 +19,9 @@ Two fits:
 import numpy as np
 from scipy.optimize import minimize
 
-from semperf.kernel import CaseConfig
-from semperf.partition import partition_elements, words_per_step
+from semperf.gamma import MachineProfile, predict_time
+from semperf.harness import point_counts
+from semperf.kernel import MEGA, CaseConfig
 from semperf.refdata import (
     DEGREE_SWEEP_ROWS,
     STRONG_EFFICIENCY_TARGETS,
@@ -42,35 +45,26 @@ def pick_iteration_budget():
 
 
 def fit_strong_profile(case):
-    t1 = STRONG_SCALING_ROWS[0][2]
-    f1 = step_flops(case, 1)
-    points = []
-    for p, target in sorted(STRONG_EFFICIENCY_TARGETS.items()):
-        plan = partition_elements(case, p)
-        points.append(
-            (
-                p,
-                target,
-                step_flops(case, p),
-                words_per_step(plan, case, case.cg_iters_per_step),
-                plan.messages_per_exchange * case.cg_iters_per_step,
-            )
-        )
+    # the core rate that puts the single-rank step at the measured time
+    rate = step_flops(case, 1) / (STRONG_SCALING_ROWS[0][2] * MEGA)
+    points = [
+        (p, target, *point_counts(case, p)[1:])
+        for p, target in sorted(STRONG_EFFICIENCY_TARGETS.items())
+    ]
 
     def efficiencies(bw_mbs, lat_s):
+        machine = MachineProfile("strong-fit", rate, bw_mbs, lat_s)
         effs = {}
-        for p, _, flops, words, msgs in points:
-            t_p = flops * t1 / (p * f1)
-            t_c = words * 8 / (p * bw_mbs * 1e6)
-            t_l = msgs * lat_s
-            effs[p] = t_p / (t_p + t_c + t_l)
+        for p, _, app, msgs in points:
+            td = predict_time(machine, app, p, msgs)
+            effs[p] = td.t_p / td.total
         return effs
 
     def worst(params):
         bw, lat = np.exp(params)
         effs = efficiencies(bw, lat)
         return max(
-            abs(effs[p] - t) for p, t, _, _, _ in points
+            abs(effs[p] - t) for p, t, _, _ in points
         )
 
     best = None
@@ -88,7 +82,7 @@ def fit_strong_profile(case):
     effs = efficiencies(bw, lat)
     print(f"strong-scaling fit: bandwidth = {bw:.6f} MB/s, latency = {lat:.6e} s")
     print(f"  worst deviation = {best.fun:.4f}")
-    for p, target, _, _, _ in points:
+    for p, target, _, _ in points:
         print(f"  P={p:3d}  model E = {effs[p]:.4f}  target = {target:.2f}")
     return bw, lat
 

@@ -1,6 +1,6 @@
 """semperf: spectral-element work kernel plus the Gamma speedup model."""
 
-from .basis import PressureBasis, SpectralBasis, build_gll_basis, build_pressure_basis
+from .basis import SpectralBasis, build_gll_basis
 from .errors import (
     CalibrationDegenerateError,
     DivergenceError,

@@ -1,9 +1,6 @@
-"""Gauss-Lobatto-Legendre and Gauss-Legendre reference bases on [-1, 1].
+"""Gauss-Lobatto-Legendre reference basis on [-1, 1].
 
-The velocity grid uses degree-N GLL points (interval endpoints included);
-the companion pressure grid uses the N-1 interior Gauss-Legendre points of
-degree N-2, the usual staggered pairing that suppresses spurious pressure
-modes.
+The element grid uses the degree-N GLL points, interval endpoints included.
 """
 
 from dataclasses import dataclass, field
@@ -35,8 +32,8 @@ def gll_nodes_weights(n):
     """
     if n < 2:
         raise ValueError(
-            f"GLL degree must be >= 2 (got {n}): the staggered pressure grid "
-            "needs at least one interior Gauss point"
+            f"GLL degree must be >= 2 (got {n}): the rule needs at least "
+            "one interior node"
         )
     x = np.cos(np.pi * np.arange(n, -1, -1) / n)
     for _ in range(NEWTON_MAX_ITERS):
@@ -89,19 +86,6 @@ class SpectralBasis:
         return self.degree + 1
 
 
-@dataclass(frozen=True)
-class PressureBasis:
-    """Interior Gauss-Legendre basis of degree N-2 paired with a GLL grid."""
-
-    degree: int
-    nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-
-    @property
-    def n_points(self):
-        return self.degree + 1
-
-
 def build_gll_basis(n):
     """Construct the degree-n GLL basis (nodes, weights, derivative matrix)."""
     nodes, weights = gll_nodes_weights(n)
@@ -110,16 +94,4 @@ def build_gll_basis(n):
         nodes=nodes,
         weights=weights,
         diff_matrix=lagrange_diff_matrix(nodes),
-    )
-
-
-def build_pressure_basis(velocity_degree):
-    """Gauss-Legendre grid of degree velocity_degree - 2 (interior points)."""
-    if velocity_degree < 2:
-        raise ValueError(
-            f"velocity degree must be >= 2 (got {velocity_degree})"
-        )
-    nodes, weights = np.polynomial.legendre.leggauss(velocity_degree - 1)
-    return PressureBasis(
-        degree=velocity_degree - 2, nodes=nodes, weights=weights
     )

@@ -21,12 +21,12 @@ from .gamma import (
     MachineProfile,
     analyze_usage_histogram,
     calibrate,
-    gamma_from_times,
     normalize_node_usage,
-    predict_time,
+    predict_time,  # unused here; perfbench/spans.py patches this name
 )
 from .harness import (
     CampaignSpec,
+    model_point,
     records_to_json,
     records_to_steps_csv,
     records_to_summary_csv,
@@ -35,10 +35,9 @@ from .harness import (
     SUMMARY_COLUMNS,
 )
 from .kernel import CaseConfig
-from .partition import AppProfile, partition_elements, words_per_step
+from .partition import partition_elements  # unused; patched as above
 from .profiles import builtin_profiles, example_config_dict
 from .refdata import BASE_BANDWIDTH_MBS
-from .solver import step_flops
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -232,31 +231,21 @@ def cmd_predict(args):
         n_fields=args.n_fields,
         cg_iters_per_step=args.iters,
     )
-    plan = partition_elements(case, args.ranks)
-    flops = step_flops(case, args.ranks)
-    words = words_per_step(plan, case, case.cg_iters_per_step)
-    messages = plan.messages_per_exchange * case.cg_iters_per_step
-    td = predict_time(
-        machine.at_degree(max(case.degrees)),
-        AppProfile(flops, words),
-        args.ranks,
-        messages,
-    )
-    gamma = gamma_from_times(td)
-    eff = td.t_p / td.total
+    rec = model_point(case, machine, args.ranks)
+    step = rec.steps[0]
     result = {
         "machine": machine.name,
         "P": args.ranks,
-        "flops_per_step": flops,
-        "words_per_step": words,
-        "messages_per_step": messages,
-        "t_p_s": td.t_p,
-        "t_c_s": td.t_c,
-        "t_l_s": td.t_l,
-        "t_total_s": td.total,
-        "gamma": "inf" if math.isinf(gamma) else gamma,
-        "efficiency": eff,
-        "speedup": args.ranks * eff,
+        "flops_per_step": step.flops,
+        "words_per_step": step.halo_words_sent,
+        "messages_per_step": step.halo_messages,
+        "t_p_s": step.t_p,
+        "t_c_s": step.t_c,
+        "t_l_s": step.t_l,
+        "t_total_s": step.walltime,
+        "gamma": "inf" if math.isinf(rec.gamma) else rec.gamma,
+        "efficiency": rec.efficiency,
+        "speedup": rec.speedup,
     }
     if args.json:
         print(json.dumps(result, sort_keys=True, indent=2))
@@ -337,7 +326,8 @@ def _read_samples(path):
     except OSError as exc:
         raise InputError(f"cannot read samples {path}: {exc}") from exc
     samples = []
-    for line in text.splitlines():
+    header_allowed = True
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -345,7 +335,12 @@ def _read_samples(path):
         try:
             samples.append(float(parts[-1]))
         except ValueError:
-            continue  # header line
+            if not header_allowed:
+                raise InputError(
+                    f"{path}:{lineno}: cannot parse a usage value from "
+                    f"{line!r}"
+                ) from None
+        header_allowed = False
     if not samples:
         raise InputError(f"no usage samples found in {path}")
     return samples

@@ -20,6 +20,12 @@ from .errors import CalibrationDegenerateError
 from .kernel import MEGA, WORD_BYTES
 
 
+def _require_finite(**values):
+    for name, x in values.items():
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite (got {x})")
+
+
 @dataclass(frozen=True)
 class MachineProfile:
     """Per-rank compute rate and interconnect characteristics.
@@ -40,6 +46,13 @@ class MachineProfile:
     rate_curvature: float = 0.0
 
     def __post_init__(self):
+        _require_finite(
+            effective_core_rate=self.effective_core_rate,
+            link_bandwidth=self.link_bandwidth,
+            latency=self.latency,
+            link_sharing=self.link_sharing,
+            rate_curvature=self.rate_curvature,
+        )
         if self.effective_core_rate <= 0 or self.link_bandwidth <= 0:
             raise ValueError("rates and bandwidths must be positive")
         if self.latency < 0:
@@ -185,6 +198,7 @@ class CalibrationInput:
                 f"unknown bandwidth model {self.bandwidth_model!r}; "
                 f"expected one of {BANDWIDTH_MODELS}"
             )
+        _require_finite(t_p=self.t_p, gamma=self.gamma, sharing=self.sharing)
         if self.t_p <= 0 or self.gamma <= 0:
             raise ValueError("t_p and gamma must be positive")
         if self.sharing < 1:
@@ -335,7 +349,8 @@ def calibrate(inputs, base_bandwidth):
         alpha = w / v if v != 0 else math.inf
     else:
         w, v, t_l, alpha = _solve_least_squares(inputs, base_bandwidth)
-    if w <= 0 or alpha <= 0 or t_l < -1e-9:
+    # written so that a NaN fails every comparison and is rejected
+    if not (w > 0 and alpha > 0 and t_l >= -1e-9):
         raise CalibrationDegenerateError(
             f"calibration produced infeasible parameters "
             f"(W={w:.4g} MB, alpha={alpha:.4g}, T_L={t_l:.4g} s)",
@@ -388,13 +403,6 @@ class UsageAnalysis:
     counts: tuple
     mean: float
     gamma: float
-
-    def nonzero_bins(self):
-        return [
-            (edge, count)
-            for edge, count in zip(self.bin_edges, self.counts)
-            if count
-        ]
 
 
 def analyze_usage_histogram(samples, bin_width=0.01):

@@ -21,7 +21,7 @@ from .partition import (
     partition_elements,
     words_per_step,
 )
-from .solver import run_work_unit, step_flops
+from .solver import StepRecord, run_work_unit, step_flops
 
 CAMPAIGN_KINDS = ("strong", "weak", "degree_sweep", "time_budget")
 DEFAULT_WINDOW_S = 20.0
@@ -77,30 +77,6 @@ class CampaignSpec:
                 raise ValueError(
                     "time_budget campaigns run in simulated mode only"
                 )
-
-
-@dataclass(frozen=True)
-class StepTiming:
-    walltime: float
-    t_p: float = None
-    t_c: float = None
-    t_l: float = None
-    flops: int = 0
-    words: int = 0
-    messages: int = 0
-    iterations: int = 0
-
-    def to_json_dict(self):
-        return {
-            "walltime_s": self.walltime,
-            "t_p_s": self.t_p,
-            "t_c_s": self.t_c,
-            "t_l_s": self.t_l,
-            "flops": self.flops,
-            "words": self.words,
-            "messages": self.messages,
-            "iterations": self.iterations,
-        }
 
 
 @dataclass
@@ -166,7 +142,7 @@ class RunRecord:
             "window_samples": list(self.window_samples),
             "warnings": list(self.warnings),
             "seed": self.seed,
-            "steps": [s.to_json_dict() for s in self.steps],
+            "steps": [_step_json_dict(s) for s in self.steps],
         }
 
 
@@ -176,26 +152,45 @@ def _json_num(x):
     return "inf" if math.isinf(x) else x
 
 
-def _simulated_point(case, machine, n_ranks, seed=0):
+def _step_json_dict(step):
+    return {
+        "walltime_s": step.walltime,
+        "t_p_s": step.t_p,
+        "t_c_s": step.t_c,
+        "t_l_s": step.t_l,
+        "flops": step.flops,
+        "words": step.halo_words_sent,
+        "messages": step.halo_messages,
+        "iterations": step.iterations,
+    }
+
+
+def point_counts(case, n_ranks):
+    """Partition plan, per-step work and traffic, and messages per step."""
     plan = partition_elements(case, n_ranks)
-    flops = step_flops(case, n_ranks)
-    words = words_per_step(plan, case, case.cg_iters_per_step)
-    messages = plan.messages_per_exchange * case.cg_iters_per_step
-    eff_machine = machine.at_degree(max(case.degrees))
-    td = predict_time(
-        eff_machine, AppProfile(flops, words), n_ranks, messages
+    app = AppProfile(
+        step_flops(case, n_ranks),
+        words_per_step(plan, case, case.cg_iters_per_step),
     )
-    gamma = gamma_from_times(td)
+    return plan, app, plan.messages_per_exchange * case.cg_iters_per_step
+
+
+def model_point(case, machine, n_ranks, seed=0):
+    """Model one scaling point: counts, then T_P/T_C/T_L, then Gamma, E, S."""
+    plan, app, messages = point_counts(case, n_ranks)
+    td = predict_time(
+        machine.at_degree(max(case.degrees)), app, n_ranks, messages
+    )
     eff = td.t_p / td.total
-    step = StepTiming(
+    step = StepRecord(
+        iterations=case.cg_iters_per_step,
+        flops=app.flops_per_step,
+        halo_words_sent=app.words_per_step,
+        halo_messages=messages,
         walltime=td.total,
         t_p=td.t_p,
         t_c=td.t_c,
         t_l=td.t_l,
-        flops=flops,
-        words=words,
-        messages=messages,
-        iterations=case.cg_iters_per_step,
     )
     return RunRecord(
         kind="point",
@@ -206,7 +201,7 @@ def _simulated_point(case, machine, n_ranks, seed=0):
         rank_grid=plan.rank_grid,
         cut_face_count=len(plan.cut_faces),
         steps=(step,) * case.steps,
-        gamma=gamma,
+        gamma=gamma_from_times(td),
         efficiency=eff,
         speedup=n_ranks * eff,
         seed=seed,
@@ -216,16 +211,6 @@ def _simulated_point(case, machine, n_ranks, seed=0):
 def _executed_point(case, machine, n_ranks, seed=0):
     plan = partition_elements(case, n_ranks)
     report = run_work_unit(case, plan=plan)
-    steps = tuple(
-        StepTiming(
-            walltime=s.walltime,
-            flops=s.flops,
-            words=s.halo_words_sent,
-            messages=s.halo_messages,
-            iterations=s.iterations,
-        )
-        for s in report.steps
-    )
     return RunRecord(
         kind="point",
         mode="exec",
@@ -234,14 +219,14 @@ def _executed_point(case, machine, n_ranks, seed=0):
         n_ranks=n_ranks,
         rank_grid=plan.rank_grid,
         cut_face_count=len(plan.cut_faces),
-        steps=steps,
+        steps=report.steps,
         seed=seed,
     )
 
 
 def _point(case, machine, n_ranks, mode, seed=0):
     if mode == "sim":
-        return _simulated_point(case, machine, n_ranks, seed=seed)
+        return model_point(case, machine, n_ranks, seed=seed)
     return _executed_point(case, machine, n_ranks, seed=seed)
 
 
@@ -296,7 +281,7 @@ def run_degree_sweep(spec):
 def run_time_budget(spec):
     """Count the steps that fit a wall-clock budget; sample usage windows."""
     p = spec.p_list[0]
-    rec = _simulated_point(spec.case, spec.machine, p, seed=spec.seed)
+    rec = model_point(spec.case, spec.machine, p, seed=spec.seed)
     rec.kind = "time_budget"
     step_time = rec.step_walltime
     completed = int(spec.budget_s // step_time) if step_time > 0 else 0
@@ -416,8 +401,8 @@ def records_to_steps_csv(records):
                     "t_c_s": _fmt(s.t_c),
                     "t_l_s": _fmt(s.t_l),
                     "flops": s.flops,
-                    "words": s.words,
-                    "messages": s.messages,
+                    "words": s.halo_words_sent,
+                    "messages": s.halo_messages,
                     "iterations": s.iterations,
                 }
             )

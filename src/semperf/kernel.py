@@ -6,6 +6,7 @@ dot products).  Basis and geometry setup is excluded, as is the bookkeeping
 arithmetic of interface summation, which is attributed to communication.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,21 @@ class CaseConfig:
     cg_iters_per_step: int = 100
 
     def __post_init__(self):
+        counts = (
+            *self.elements,
+            *self.degrees,
+            self.n_fields,
+            self.steps,
+            self.cg_iters_per_step,
+        )
+        if not all(
+            isinstance(c, numbers.Integral) and not isinstance(c, bool)
+            for c in counts
+        ):
+            raise ValueError(
+                "elements, degrees, n_fields, steps and cg_iters_per_step "
+                f"must be integers: {self}"
+            )
         if len(self.elements) != 3 or any(e < 1 for e in self.elements):
             raise ValueError(f"element counts must be 3 values >= 1: {self.elements}")
         if len(self.degrees) != 3 or any(n < 2 for n in self.degrees):
@@ -80,10 +96,6 @@ class CaseConfig:
     @property
     def dof_per_element(self):
         return self.n_fields * self.points_per_element
-
-    @property
-    def is_isotropic(self):
-        return len(set(self.degrees)) == 1
 
 
 def dof_count(config):
@@ -156,12 +168,6 @@ def _resolve_axis(axis):
     if ax not in (0, 1, 2):
         raise ValueError(f"axis must be x, y or z (got {axis!r})")
     return ax
-
-
-def derivative_flops(shape, axis):
-    """Counted flops of one derivative: 2 per inner-product term per point."""
-    nx, ny, nz = shape
-    return 2 * nx * ny * nz * shape[_resolve_axis(axis)]
 
 
 def tensor_derivative(element_field, basis, axis, counter=None):

@@ -80,17 +80,25 @@ def default_solution(x, y, z):
     return np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z)
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class StepRecord:
-    """Per-step measurements of one executed work step."""
+    """One work step: exact counters, wall time and the modeled time split.
+
+    An executed step carries one rank's figures, or all ranks' combined;
+    its ``t_p``/``t_c``/``t_l`` are None.  A modeled step has no residual
+    or reduction count, and its wall time is the sum of the modeled parts.
+    """
 
     iterations: int
-    rel_residual: float
+    rel_residual: float = None
     flops: int
     halo_words_sent: int
     halo_messages: int
-    reduce_words_sent: int
+    reduce_words_sent: int = None
     walltime: float
+    t_p: float = None
+    t_c: float = None
+    t_l: float = None
 
 
 @dataclass
@@ -125,7 +133,6 @@ class RankWorker:
         domain=(1.0, 1.0, 1.0),
         bc="dirichlet",
         mean_zero=False,
-        forcing=None,
     ):
         if bc not in ("dirichlet", "neumann"):
             raise ValueError(f"unknown boundary condition {bc!r}")
@@ -417,15 +424,15 @@ def _rank_main(
         solution, iters, rel = worker.run_step(rtol=rtol, max_iters=max_iters)
         walltime = time.perf_counter() - t0
         steps.append(
-            {
-                "iterations": iters,
-                "rel_residual": rel,
-                "flops": worker.counter.total - flops0,
-                "halo_words_sent": endpoint.tag_words_sent["halo"] - halo0,
-                "halo_messages": endpoint.tag_messages_sent["halo"] - msgs0,
-                "reduce_words_sent": endpoint.tag_words_sent["reduce"] - red0,
-                "walltime": walltime,
-            }
+            StepRecord(
+                iterations=iters,
+                rel_residual=rel,
+                flops=worker.counter.total - flops0,
+                halo_words_sent=endpoint.tag_words_sent["halo"] - halo0,
+                halo_messages=endpoint.tag_messages_sent["halo"] - msgs0,
+                reduce_words_sent=endpoint.tag_words_sent["reduce"] - red0,
+                walltime=walltime,
+            )
         )
     fields = {}
     if collect_fields:
@@ -494,21 +501,19 @@ def run_work_unit(
             results = [f.result() for f in futures]
 
     results.sort(key=lambda r: r["rank"])
-    n_steps = config.steps
-    step_records = []
-    for s in range(n_steps):
-        per_rank = [r["steps"][s] for r in results]
-        step_records.append(
+    steps = []
+    for per_rank in zip(*(r["steps"] for r in results)):
+        # counts add up, the slowest rank sets the wall time, and every
+        # rank agrees with rank 0 on iterations and residual
+        steps.append(
             StepRecord(
-                iterations=per_rank[0]["iterations"],
-                rel_residual=per_rank[0]["rel_residual"],
-                flops=sum(p["flops"] for p in per_rank),
-                halo_words_sent=sum(p["halo_words_sent"] for p in per_rank),
-                halo_messages=sum(p["halo_messages"] for p in per_rank),
-                reduce_words_sent=sum(
-                    p["reduce_words_sent"] for p in per_rank
-                ),
-                walltime=max(p["walltime"] for p in per_rank),
+                iterations=per_rank[0].iterations,
+                rel_residual=per_rank[0].rel_residual,
+                flops=sum(s.flops for s in per_rank),
+                halo_words_sent=sum(s.halo_words_sent for s in per_rank),
+                halo_messages=sum(s.halo_messages for s in per_rank),
+                reduce_words_sent=sum(s.reduce_words_sent for s in per_rank),
+                walltime=max(s.walltime for s in per_rank),
             )
         )
     fields = {}
@@ -516,7 +521,7 @@ def run_work_unit(
         fields.update(r["fields"])
     return WorkUnitReport(
         n_ranks=plan.n_ranks,
-        steps=tuple(step_records),
+        steps=tuple(steps),
         per_rank_flops=tuple(r["counter"] for r in results),
         per_rank_halo_words_sent=tuple(
             r["halo_words_sent"] for r in results

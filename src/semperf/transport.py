@@ -77,15 +77,6 @@ class LoopbackEndpoint:
     def total_words_received(self):
         return sum(self.words_received.values())
 
-    def reset_counters(self):
-        self.words_sent.clear()
-        self.words_received.clear()
-        self.tag_words_sent.clear()
-        self.tag_words_received.clear()
-        self.tag_messages_sent.clear()
-        self.messages_sent = 0
-        self.messages_received = 0
-
 
 def loopback_transport(n_ranks):
     """Build n_ranks connected endpoints with ordered in-memory delivery."""

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from semperf.basis import (
     build_gll_basis,
-    build_pressure_basis,
     gll_nodes_weights,
     lagrange_diff_matrix,
 )
@@ -23,7 +22,7 @@ def test_degree_three_closed_form():
 
 
 def test_degree_below_two_rejected():
-    with pytest.raises(ValueError, match="pressure"):
+    with pytest.raises(ValueError, match="interior node"):
         build_gll_basis(1)
 
 
@@ -97,16 +96,3 @@ def test_diff_matrix_generic_nodes():
         expect = k * nodes ** (k - 1) if k > 0 else np.zeros(4)
         assert np.allclose(d @ nodes**k, expect, atol=1e-12)
 
-
-@pytest.mark.parametrize("n", [2, 3, 8])
-def test_pressure_basis_is_interior_gauss(n):
-    pb = build_pressure_basis(n)
-    assert pb.degree == n - 2
-    assert pb.n_points == n - 1
-    assert np.all(pb.nodes > -1.0) and np.all(pb.nodes < 1.0)
-    assert abs(pb.weights.sum() - 2.0) < 1e-12
-
-
-def test_pressure_basis_degree_validation():
-    with pytest.raises(ValueError):
-        build_pressure_basis(1)

@@ -251,6 +251,16 @@ class TestCalibrate:
         assert main(["calibrate", str(table)]) == 4
         assert "degenerate" in capsys.readouterr().err
 
+    def test_nan_row_exits_2_without_writing_a_fit(self, tmp_path, capsys):
+        table = tmp_path / "nan.csv"
+        table.write_text(
+            CALIBRATION_CSV.replace("7.56", "nan"), encoding="utf-8"
+        )
+        artifact = tmp_path / "fit.json"
+        assert main(["calibrate", str(table), "--out", str(artifact)]) == 2
+        assert not artifact.exists()
+        assert "t_p must be finite" in capsys.readouterr().err
+
     def test_missing_columns(self, tmp_path):
         table = tmp_path / "bad.csv"
         table.write_text("a,b\n1,2\n", encoding="utf-8")
@@ -305,6 +315,22 @@ class TestAnalyze:
         samples = tmp_path / "empty.csv"
         samples.write_text("", encoding="utf-8")
         assert main(["analyze", str(samples)]) == 2
+
+    @pytest.mark.parametrize(
+        "text,bad_line",
+        [
+            ("0.0,0.5\n20.0,0.5x\n40.0,0.7\n", 2),
+            ("timestamp,usage\n\n0.0,0.5\n20.0,0.5x\n40.0,0.7\n", 4),
+        ],
+    )
+    def test_unparseable_data_row_is_input_error(
+        self, tmp_path, capsys, text, bad_line
+    ):
+        samples = tmp_path / "usage.csv"
+        samples.write_text(text, encoding="utf-8")
+        assert main(["analyze", str(samples)]) == 2
+        assert f"usage.csv:{bad_line}:" in capsys.readouterr().err
+        assert not (tmp_path / "usage.hist").exists()
 
     def test_flags_must_come_together(self, tmp_path):
         samples = tmp_path / "usage.csv"

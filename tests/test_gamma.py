@@ -123,6 +123,33 @@ def profile(**overrides):
     return MachineProfile(**params)
 
 
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+class TestNonFiniteInputsRejected:
+    @given(
+        name=st.sampled_from(
+            [
+                "effective_core_rate",
+                "link_bandwidth",
+                "latency",
+                "link_sharing",
+                "rate_curvature",
+            ]
+        ),
+        value=NON_FINITE,
+    )
+    def test_machine_profile(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            profile(**{name: value})
+
+    @given(name=st.sampled_from(["t_p", "gamma", "sharing"]), value=NON_FINITE)
+    def test_calibration_input(self, name, value):
+        params = {"t_p": 7.56, "gamma": 3.81, "sharing": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            CalibrationInput(name="m", bandwidth_model="scaled", **params)
+
+
 class TestPredictTime:
     def test_zero_words_means_zero_transfer_time(self):
         td = predict_time(profile(), AppProfile(10**9, 0), 4, 0)

@@ -97,13 +97,13 @@ class TestWeakScalingSimulated:
 
     def test_single_rank_point_has_no_communication(self, machines):
         records = run_weak_scaling(self.spec(machines))
-        assert records[0].steps[0].words == 0
+        assert records[0].steps[0].halo_words_sent == 0
         assert records[0].steps[0].t_c == 0.0
 
     def test_per_rank_words_grow_with_cut_surface(self, machines):
         records = run_weak_scaling(self.spec(machines))
         per_rank_words = [
-            r.steps[0].words / r.n_ranks for r in records
+            r.steps[0].halo_words_sent / r.n_ranks for r in records
         ]
         assert per_rank_words[0] == 0
         assert per_rank_words[1] < per_rank_words[2]
@@ -227,7 +227,7 @@ class TestExecutedMode:
         for rec in records:
             plan = partition_elements(case, rec.n_ranks)
             predicted = words_per_step(plan, case, case.cg_iters_per_step)
-            assert rec.steps[0].words == predicted
+            assert rec.steps[0].halo_words_sent == predicted
             assert rec.steps[0].walltime > 0
 
     def test_efficiency_derived_from_baseline(self, machines):
@@ -243,8 +243,8 @@ class TestExecutedMode:
         a = run_strong_scaling(spec)[0]
         b = run_strong_scaling(spec)[0]
         assert a.steps[0].flops == b.steps[0].flops
-        assert a.steps[0].words == b.steps[0].words
-        assert a.steps[0].messages == b.steps[0].messages
+        assert a.steps[0].halo_words_sent == b.steps[0].halo_words_sent
+        assert a.steps[0].halo_messages == b.steps[0].halo_messages
 
 
 class TestSerialization:

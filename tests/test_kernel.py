@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from semperf.basis import build_gll_basis
 from semperf.kernel import (
@@ -43,6 +44,18 @@ class TestCaseConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             CaseConfig(**kwargs)
+
+    @given(
+        name=st.sampled_from(
+            ["elements", "degrees", "n_fields", "steps", "cg_iters_per_step"]
+        ),
+        value=st.one_of(st.floats(min_value=2.0, max_value=9.0), st.booleans()),
+    )
+    def test_non_integer_counts_rejected(self, name, value):
+        if name in ("elements", "degrees"):
+            value = (4, value, 4)
+        with pytest.raises(ValueError, match="must be integers"):
+            CaseConfig(**{name: value})
 
 
 class TestMemoryEstimate:
