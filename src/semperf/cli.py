@@ -308,6 +308,8 @@ def cmd_calibrate(args):
         if exc.inputs:
             print(f"inputs: {', '.join(exc.inputs)}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     print(f"W      {fit.w_mb:10.4f} MB per step")
     print(f"alpha  {fit.alpha:10.4f}")
     print(f"T_L    {fit.t_l:10.4f} s")

@@ -82,17 +82,6 @@ class MachineProfile:
             rate_curvature=0.0,
         )
 
-    def to_json_dict(self):
-        return {
-            "name": self.name,
-            "effective_core_rate_mflops": self.effective_core_rate,
-            "link_bandwidth_mbs": self.link_bandwidth,
-            "latency_s": self.latency,
-            "cores_per_node": self.cores_per_node,
-            "link_sharing": self.link_sharing,
-            "rate_curvature": self.rate_curvature,
-        }
-
 
 @dataclass(frozen=True)
 class TimeDecomposition:
@@ -109,17 +98,6 @@ class TimeDecomposition:
     @property
     def total(self):
         return self.t_p + self.t_c + self.t_l
-
-    def to_json_dict(self):
-        return {
-            "t_p_s": self.t_p,
-            "t_c_s": self.t_c,
-            "t_l_s": self.t_l,
-            "t_total_s": self.total,
-        }
-
-    def to_json(self, **kwargs):
-        return json.dumps(self.to_json_dict(), sort_keys=True, **kwargs)
 
 
 def predict_speedup(p, gamma):
@@ -329,6 +307,8 @@ def calibrate(inputs, base_bandwidth):
     with a bounded 1-D search over alpha.  W is returned in MB for the
     given base bandwidth in MB/s.
     """
+    if not (math.isfinite(base_bandwidth) and base_bandwidth > 0):
+        raise ValueError("base_bandwidth must be finite and positive")
     inputs = list(inputs)
     if len(inputs) < 3:
         raise CalibrationDegenerateError(
@@ -342,8 +322,6 @@ def calibrate(inputs, base_bandwidth):
             "alpha cannot be identified",
             inputs=[r.name for r in inputs],
         )
-    if base_bandwidth <= 0:
-        raise ValueError("base_bandwidth must be positive")
     if len(inputs) == 3:
         w, v, t_l = _solve_exact(inputs, base_bandwidth)
         alpha = w / v if v != 0 else math.inf
@@ -416,7 +394,8 @@ def analyze_usage_histogram(samples, bin_width=0.01):
         raise ValueError("no usage samples to analyze")
     if not 0.0 < bin_width <= 1.0:
         raise ValueError("bin_width must lie in (0, 1]")
-    if np.any(samples < 0.0) or np.any(samples > 1.0):
+    # written so that a NaN fails the range check too
+    if not np.all((samples >= 0.0) & (samples <= 1.0)):
         raise ValueError("usage samples must lie in [0, 1]")
     n_bins = math.floor(1.0 / bin_width) + 1
     edges = np.arange(n_bins + 1) * bin_width

@@ -42,11 +42,6 @@ class FlopCounter:
     def total(self):
         return self.additions + self.multiplications + self.divisions
 
-    def reset(self):
-        self.additions = 0
-        self.multiplications = 0
-        self.divisions = 0
-
 
 @dataclass(frozen=True)
 class CaseConfig:

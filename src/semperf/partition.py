@@ -8,7 +8,6 @@ contribution to the shared face), and edge/corner values ride inside the
 face exchanges of their adjacent faces.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -88,24 +87,6 @@ class PartitionPlan:
     def messages_per_exchange(self):
         """Halo messages per gather-scatter: one each way per adjacent pair."""
         return 2 * len(self.neighbor_pairs)
-
-    def to_json_dict(self):
-        return {
-            "n_ranks": self.n_ranks,
-            "elements": list(self.elements),
-            "rank_grid": list(self.rank_grid),
-            "ranks": {
-                str(r): [list(e) for e in self.elements_of(r)]
-                for r in range(self.n_ranks)
-            },
-            "cut_faces": [
-                {"axis": "xyz"[axis], "element": list(el), "ranks": [ra, rb]}
-                for axis, el, ra, rb in self.cut_faces
-            ],
-        }
-
-    def to_json(self, **kwargs):
-        return json.dumps(self.to_json_dict(), sort_keys=True, **kwargs)
 
 
 def _block_index(ranges, idx):

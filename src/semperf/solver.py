@@ -1,11 +1,13 @@
 """Distributed conjugate-gradient work unit on the partitioned element mesh.
 
-Each rank owns a contiguous block of elements on the unit box and holds the
-nodal values of its elements redundantly at interfaces.  One work step runs
-a budget of Jacobi-preconditioned CG iterations on the assembled weak
-Laplacian; every operator application is followed by a gather-scatter
-(direct-stiffness summation), performed as one face exchange sweep per
-direction so edge and corner values ride inside the face messages.
+The mesh covers the unit box [0, 1]^3, so an element spans 1 / elements
+along each direction.  Each rank owns a contiguous block of elements and
+holds the nodal values of its elements redundantly at interfaces.  One
+work step runs a budget of Jacobi-preconditioned CG iterations on the
+assembled weak Laplacian; every operator application is followed by a
+gather-scatter (direct-stiffness summation), performed as one face
+exchange sweep per direction so edge and corner values ride inside the
+face messages.
 
 Counted flops cover the element-local solve arithmetic: operator
 applications, vector updates, dot-product partials and the alpha/beta
@@ -26,7 +28,12 @@ from .basis import build_gll_basis
 from .errors import DivergenceError
 from .kernel import ElementOperator, FlopCounter, laplacian_flops
 from .partition import partition_elements
-from .transport import allreduce_sum, loopback_transport
+from .transport import (
+    TransportAborted,
+    TransportTimeout,
+    allreduce_sum,
+    loopback_transport,
+)
 
 STALL_WINDOW = 50
 STALL_IMPROVEMENT = 0.99
@@ -130,7 +137,6 @@ class RankWorker:
         config,
         plan,
         endpoint,
-        domain=(1.0, 1.0, 1.0),
         bc="dirichlet",
         mean_zero=False,
     ):
@@ -150,26 +156,24 @@ class RankWorker:
         nx, ny, nz = (n + 1 for n in config.degrees)
         self.shape = (nx, ny, nz)
         self.bases = tuple(build_gll_basis(n) for n in config.degrees)
-        ex, ey, ez = config.elements
-        lx, ly, lz = domain
-        self.extents = (lx / ex, ly / ey, lz / ez)
+        self.extents = tuple(1.0 / e for e in config.elements)
         self.op = ElementOperator(self.bases, self.extents)
 
         cx, cy, cz = self.counts
         f = config.n_fields
         self._arr_shape = (cz, cy, cx, f, nz, ny, nx)
-        px, py, _ = plan.rank_grid
-        bx = self.rank % px
-        by = (self.rank // px) % py
-        bz = self.rank // (px * py)
-        grid = plan.rank_grid
-        pos = (bx, by, bz)
-        self.neighbors = []  # per axis: (minus_rank, plus_rank)
-        strides = (1, px, px * py)
-        for ax in range(3):
-            minus = self.rank - strides[ax] if pos[ax] > 0 else None
-            plus = self.rank + strides[ax] if pos[ax] < grid[ax] - 1 else None
-            self.neighbors.append((minus, plus))
+        # per axis: (minus_rank, plus_rank), the owners of the elements just
+        # outside the block's faces, or None at the box boundary
+        corner = [start for start, _ in self.block]
+        self.neighbors = [
+            tuple(
+                plan.rank_of(*corner[:ax], idx, *corner[ax + 1:])
+                if 0 <= idx < config.elements[ax]
+                else None
+                for idx in (start - 1, stop)
+            )
+            for ax, (start, stop) in enumerate(self.block)
+        ]
 
         self._build_node_tables()
         self.inv_diag = None
@@ -267,12 +271,6 @@ class RankWorker:
                 arr[lo] = arr[lo] + self.endpoint.receive(minus)
             if plus is not None:
                 arr[hi] = arr[hi] + self.endpoint.receive(plus)
-        return arr
-
-    def dsavg(self, arr):
-        """Idempotent coherence projection: multiplicity-weighted average."""
-        self.dssum(arr)
-        arr *= self.inv_mult
         return arr
 
     # -- counted kernels ---------------------------------------------------
@@ -400,40 +398,44 @@ def _rank_main(
     mean_zero,
     forcing,
     collect_fields,
-    domain,
 ):
-    worker = RankWorker(
-        config,
-        plan,
-        endpoint,
-        domain=domain,
-        bc=bc,
-        mean_zero=mean_zero,
-    )
-    worker.setup(forcing)
-    setup_halo = endpoint.tag_words_sent["halo"]
-    steps = []
-    solution = None
-    for _ in range(config.steps):
-        endpoint.barrier()
-        flops0 = worker.counter.total
-        halo0 = endpoint.tag_words_sent["halo"]
-        msgs0 = endpoint.tag_messages_sent["halo"]
-        red0 = endpoint.tag_words_sent["reduce"]
-        t0 = time.perf_counter()
-        solution, iters, rel = worker.run_step(rtol=rtol, max_iters=max_iters)
-        walltime = time.perf_counter() - t0
-        steps.append(
-            StepRecord(
-                iterations=iters,
-                rel_residual=rel,
-                flops=worker.counter.total - flops0,
-                halo_words_sent=endpoint.tag_words_sent["halo"] - halo0,
-                halo_messages=endpoint.tag_messages_sent["halo"] - msgs0,
-                reduce_words_sent=endpoint.tag_words_sent["reduce"] - red0,
-                walltime=walltime,
-            )
+    try:
+        worker = RankWorker(
+            config,
+            plan,
+            endpoint,
+            bc=bc,
+            mean_zero=mean_zero,
         )
+        worker.setup(forcing)
+        setup_halo = endpoint.tag_words_sent["halo"]
+        steps = []
+        solution = None
+        for _ in range(config.steps):
+            endpoint.barrier()
+            flops0 = worker.counter.total
+            halo0 = endpoint.tag_words_sent["halo"]
+            msgs0 = endpoint.tag_messages_sent["halo"]
+            red0 = endpoint.tag_words_sent["reduce"]
+            t0 = time.perf_counter()
+            solution, iters, rel = worker.run_step(
+                rtol=rtol, max_iters=max_iters
+            )
+            walltime = time.perf_counter() - t0
+            steps.append(
+                StepRecord(
+                    iterations=iters,
+                    rel_residual=rel,
+                    flops=worker.counter.total - flops0,
+                    halo_words_sent=endpoint.tag_words_sent["halo"] - halo0,
+                    halo_messages=endpoint.tag_messages_sent["halo"] - msgs0,
+                    reduce_words_sent=endpoint.tag_words_sent["reduce"] - red0,
+                    walltime=walltime,
+                )
+            )
+    except BaseException:
+        endpoint.abort()
+        raise
     fields = {}
     if collect_fields:
         cx, cy, cz = worker.counts
@@ -445,7 +447,6 @@ def _rank_main(
                         solution[ez, ey, ex]
                     )
     return {
-        "rank": endpoint.rank,
         "steps": steps,
         "counter": worker.counter,
         "halo_words_sent": endpoint.tag_words_sent["halo"],
@@ -458,7 +459,6 @@ def _rank_main(
 def run_work_unit(
     config,
     plan=None,
-    endpoints=None,
     n_ranks=None,
     rtol=None,
     max_iters=None,
@@ -466,41 +466,34 @@ def run_work_unit(
     mean_zero=False,
     forcing=None,
     collect_fields=False,
-    domain=(1.0, 1.0, 1.0),
 ):
-    """Execute the CG work unit over rank workers on a loopback transport.
+    """Execute the CG work unit, one thread per rank, on a loopback transport.
 
     With ``rtol`` unset each step runs the configured iteration budget;
     with ``rtol`` set, steps stop at the relative residual (and raise
-    DivergenceError if the residual stalls first).
+    DivergenceError if the residual stalls first).  If a rank raises, the
+    transport is aborted and that rank's exception is raised here.
     """
     if plan is None:
         plan = partition_elements(config, n_ranks or 1)
-    if endpoints is None:
-        endpoints = loopback_transport(plan.n_ranks)
-    if len(endpoints) != plan.n_ranks:
-        raise ValueError("endpoint count does not match the partition plan")
-
-    if plan.n_ranks == 1:
-        results = [
-            _rank_main(
-                config, plan, endpoints[0], rtol, max_iters, bc,
-                mean_zero, forcing, collect_fields, domain,
+    with ThreadPoolExecutor(max_workers=plan.n_ranks) as pool:
+        futures = [
+            pool.submit(
+                _rank_main,
+                config, plan, ep, rtol, max_iters, bc,
+                mean_zero, forcing, collect_fields,
             )
+            for ep in loopback_transport(plan.n_ranks)
         ]
-    else:
-        with ThreadPoolExecutor(max_workers=plan.n_ranks) as pool:
-            futures = [
-                pool.submit(
-                    _rank_main,
-                    config, plan, ep, rtol, max_iters, bc,
-                    mean_zero, forcing, collect_fields, domain,
-                )
-                for ep in endpoints
-            ]
-            results = [f.result() for f in futures]
-
-    results.sort(key=lambda r: r["rank"])
+    errors = [f.exception() for f in futures if f.exception() is not None]
+    if errors:
+        # the ranks failed by the abort only report it; raise the cause
+        raise next(
+            (e for e in errors
+             if not isinstance(e, (TransportAborted, TransportTimeout))),
+            errors[0],
+        )
+    results = [f.result() for f in futures]
     steps = []
     for per_rank in zip(*(r["steps"] for r in results)):
         # counts add up, the slowest rank sets the wall time, and every

@@ -2,10 +2,11 @@
 
 Endpoints are fully connected through per-ordered-pair FIFO queues, so
 message order is preserved between any two ranks and delivery is exact
-(payloads are copied on send).  Word counters are kept per peer and per
+(payloads are copied on send).  Word and message counters are kept per
 tag; halo traffic and reduction traffic are tagged separately so face
 exchange accounting stays comparable with the partition-module
-predictions.
+predictions.  A rank that fails aborts the fabric: every peer blocked on
+it, or on a peer that aborts in turn, raises instead of waiting forever.
 """
 
 import queue
@@ -19,6 +20,13 @@ class TransportTimeout(Exception):
     """A receive or barrier wait expired before its peers showed up."""
 
 
+class TransportAborted(Exception):
+    """A peer aborted the fabric; the message waited for will never come."""
+
+
+_ABORT = object()  # queue marker of an aborted sender; never counted
+
+
 class LoopbackEndpoint:
     """One rank's view of the shared loopback fabric."""
 
@@ -28,21 +36,15 @@ class LoopbackEndpoint:
         self.peers = frozenset(r for r in range(n_ranks) if r != rank)
         self._queues = queues
         self._barrier = barrier
-        self.words_sent = defaultdict(int)
-        self.words_received = defaultdict(int)
         self.tag_words_sent = defaultdict(int)
         self.tag_words_received = defaultdict(int)
-        self.messages_sent = 0
-        self.messages_received = 0
         self.tag_messages_sent = defaultdict(int)
 
     def send(self, peer, payload, tag="halo"):
         if peer not in self.peers:
             raise ValueError(f"rank {self.rank} has no peer {peer}")
         data = np.array(payload, dtype=float, copy=True)
-        self.words_sent[peer] += data.size
         self.tag_words_sent[tag] += data.size
-        self.messages_sent += 1
         self.tag_messages_sent[tag] += 1
         self._queues[self.rank, peer].put((tag, data))
 
@@ -50,14 +52,15 @@ class LoopbackEndpoint:
         if peer not in self.peers:
             raise ValueError(f"rank {self.rank} has no peer {peer}")
         try:
-            tag, data = self._queues[peer, self.rank].get(timeout=timeout)
+            item = self._queues[peer, self.rank].get(timeout=timeout)
         except queue.Empty:
             raise TransportTimeout(
                 f"rank {self.rank} timed out waiting for rank {peer}"
             ) from None
-        self.words_received[peer] += data.size
+        if item is _ABORT:
+            raise TransportAborted(f"rank {peer} aborted the transport")
+        tag, data = item
         self.tag_words_received[tag] += data.size
-        self.messages_received += 1
         return data
 
     def barrier(self, timeout=None):
@@ -69,13 +72,12 @@ class LoopbackEndpoint:
                 f"barrier broken or timed out at rank {self.rank}"
             ) from None
 
-    @property
-    def total_words_sent(self):
-        return sum(self.words_sent.values())
-
-    @property
-    def total_words_received(self):
-        return sum(self.words_received.values())
+    def abort(self):
+        """Make each peer's next receive from this rank raise
+        TransportAborted, and break the barrier for every rank."""
+        for peer in self.peers:
+            self._queues[self.rank, peer].put(_ABORT)
+        self._barrier.abort()
 
 
 def loopback_transport(n_ranks):

@@ -261,6 +261,21 @@ class TestCalibrate:
         assert not artifact.exists()
         assert "t_p must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bandwidth", ["nan", "0", "-1"])
+    def test_bad_base_bandwidth_exits_2_without_writing_a_fit(
+        self, tmp_path, capsys, bandwidth
+    ):
+        table = tmp_path / "gamma.csv"
+        table.write_text(CALIBRATION_CSV, encoding="utf-8")
+        artifact = tmp_path / "fit.json"
+        code = main(
+            ["calibrate", str(table), "--out", str(artifact),
+             f"--base-bandwidth={bandwidth}"]
+        )
+        assert code == 2
+        assert not artifact.exists()
+        assert "base_bandwidth" in capsys.readouterr().err
+
     def test_missing_columns(self, tmp_path):
         table = tmp_path / "bad.csv"
         table.write_text("a,b\n1,2\n", encoding="utf-8")
@@ -330,6 +345,13 @@ class TestAnalyze:
         samples.write_text(text, encoding="utf-8")
         assert main(["analyze", str(samples)]) == 2
         assert f"usage.csv:{bad_line}:" in capsys.readouterr().err
+        assert not (tmp_path / "usage.hist").exists()
+
+    def test_nan_sample_is_input_error(self, tmp_path, capsys):
+        samples = tmp_path / "usage.csv"
+        self.write_samples(samples, ["0.5", "nan", "0.7"])
+        assert main(["analyze", str(samples)]) == 2
+        assert "[0, 1]" in capsys.readouterr().err
         assert not (tmp_path / "usage.hist").exists()
 
     def test_flags_must_come_together(self, tmp_path):

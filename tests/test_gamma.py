@@ -99,18 +99,6 @@ class TestGammaFromTimes:
         with pytest.raises(ValueError):
             TimeDecomposition(t_p=-1.0, t_c=0.0, t_l=0.0)
 
-    def test_json_serialization(self):
-        import json
-
-        decomp = TimeDecomposition(t_p=1.5, t_c=0.25, t_l=0.125)
-        data = json.loads(decomp.to_json())
-        assert data == {
-            "t_p_s": 1.5,
-            "t_c_s": 0.25,
-            "t_l_s": 0.125,
-            "t_total_s": 1.875,
-        }
-
 
 def profile(**overrides):
     params = {

@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -93,16 +92,6 @@ class TestPartitionElements:
             assert a != b
             pairs.add((min(a, b), max(a, b)))
         assert sorted(pairs) == plan.neighbor_pairs
-
-    def test_json_export_round_trips(self):
-        plan = partition_elements(cfg((4, 2, 1)), 4)
-        data = json.loads(plan.to_json())
-        assert data["n_ranks"] == 4
-        elements = {
-            tuple(e) for rank in data["ranks"].values() for e in rank
-        }
-        assert len(elements) == 8
-        assert len(data["cut_faces"]) == len(plan.cut_faces)
 
 
 class TestWordsPerStep:

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -78,6 +84,7 @@ class TestWordAccounting:
             ((4, 4, 4), 2),
             ((4, 4, 4), 4),
             ((4, 4, 4), 8),
+            ((3, 3, 3), 8),  # uneven chunks on every axis
         ],
     )
     def test_halo_counters_equal_partition_prediction(self, elements, n_ranks):
@@ -149,22 +156,6 @@ class TestGatherScatter:
         worker.dssum(arr)
         self.assert_interfaces_bitwise_equal(config, arr)
 
-    def test_dsavg_is_idempotent(self):
-        config = small_case(elements=(3, 2, 2))
-        worker = self.run_single_rank_worker(config)
-        rng = np.random.default_rng(5)
-        arr = rng.standard_normal(worker._arr_shape)
-        once = worker.dsavg(arr.copy())
-        twice = worker.dsavg(once.copy())
-        assert twice.tobytes() == once.tobytes()
-
-    def test_dsavg_preserves_coherent_data(self):
-        config = small_case()
-        worker = self.run_single_rank_worker(config)
-        arr = np.ones(worker._arr_shape)
-        out = worker.dsavg(arr.copy())
-        assert np.allclose(out, 1.0)
-
     @staticmethod
     def assert_interfaces_bitwise_equal(config, arr):
         grids = {}
@@ -181,9 +172,16 @@ class TestGatherScatter:
 
 
 class TestInterfaceCoherence:
-    @pytest.mark.parametrize("n_ranks", [1, 2, 4, 8])
-    def test_solution_copies_agree_bitwise(self, n_ranks):
-        config = small_case(degrees=(4, 4, 4), cg_iters_per_step=8)
+    @pytest.mark.parametrize(
+        "elements,n_ranks",
+        [pytest.param((2, 2, 2), p, id=str(p)) for p in (1, 2, 4, 8)]
+        # uneven chunks on every axis of the 2x2x2 rank grid
+        + [pytest.param((3, 3, 3), 8, id="3x3x3-8")],
+    )
+    def test_solution_copies_agree_bitwise(self, elements, n_ranks):
+        config = small_case(
+            elements=elements, degrees=(4, 4, 4), cg_iters_per_step=8
+        )
         report = run_work_unit(config, n_ranks=n_ranks, collect_fields=True)
         node_axis = {0: -1, 1: -2, 2: -3}
         checked = 0
@@ -192,7 +190,57 @@ class TestInterfaceCoherence:
             hi = np.take(report.fields[b], 0, axis=node_axis[axis])
             assert lo.tobytes() == hi.tobytes()
             checked += 1
-        assert checked == 12
+        ex, ey, ez = elements
+        # 12 faces on 2x2x2, 54 on 3x3x3
+        assert checked == (
+            (ex - 1) * ey * ez + ex * (ey - 1) * ez + ex * ey * (ez - 1)
+        )
+
+
+# Runs one work unit whose forcing raises on the rank that owns the far
+# corner of the box; the other ranks are then left waiting on it.
+FAILING_RANK_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    import numpy as np
+
+    from semperf.kernel import CaseConfig
+    from semperf.solver import run_work_unit
+
+    def forcing(x, y, z):
+        if min(x.max(), y.max(), z.max()) > 0.99:
+            raise RuntimeError("forcing failed on the far corner")
+        return np.ones(np.broadcast_shapes(x.shape, y.shape, z.shape))
+
+    *elements, n_ranks = (int(a) for a in sys.argv[1:])
+    config = CaseConfig(elements=elements, degrees=(3, 3, 3), cg_iters_per_step=2)
+    try:
+        run_work_unit(config, n_ranks=n_ranks, forcing=forcing)
+    except Exception as exc:
+        print(f"{type(exc).__name__}: {exc}")
+    """
+)
+
+
+class TestRankFailure:
+    # a subprocess, because ranks stuck on a failed peer would keep the
+    # test process from exiting
+    @pytest.mark.parametrize("elements,n_ranks", [((2, 1, 1), 2), ((4, 1, 1), 4)])
+    def test_failing_rank_raises_its_own_error(self, elements, n_ranks):
+        repo = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", FAILING_RANK_SCRIPT,
+             *(str(n) for n in (*elements, n_ranks))],
+            env={**os.environ, "PYTHONPATH": str(repo / "src")},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == (
+            "RuntimeError: forcing failed on the far corner"
+        )
 
 
 class TestConvergence:

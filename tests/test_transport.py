@@ -36,13 +36,12 @@ def test_counters_equal_payload_sizes():
     a.send(1, np.ones((2, 3)), tag="reduce")
     b.receive(0)
     b.receive(0)
-    assert a.total_words_sent == 13
-    assert a.words_sent[1] == 13
     assert a.tag_words_sent["halo"] == 7
     assert a.tag_words_sent["reduce"] == 6
-    assert a.messages_sent == 2
-    assert b.total_words_received == 13
-    assert b.messages_received == 2
+    assert b.tag_words_received["halo"] == 7
+    assert b.tag_words_received["reduce"] == 6
+    assert a.tag_messages_sent["halo"] == 1
+    assert a.tag_messages_sent["reduce"] == 1
 
 
 def test_unknown_peer_rejected():
