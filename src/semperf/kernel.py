@@ -223,16 +223,39 @@ class ElementOperator:
             (4.0 / (h * h)) * jac * w3 for h in (hx, hy, hz)
         )
         self.mass_weights = jac * w3
+        nx, ny, nz = self.shape
+        swx, swy, swz = self.scaled_weights
+        # per direction: D, a contiguous D^T, and the weights in the layout
+        # the direction's products see
+        self._passes = tuple(
+            (b.diff_matrix, np.ascontiguousarray(b.diff_matrix.T), sw)
+            for b, sw in zip(
+                self.bases,
+                (swx.reshape(nz * ny, nx), swy, swz.reshape(nz, ny * nx)),
+            )
+        )
 
     def apply_grid(self, grid, counter=None):
-        """Apply the operator; grid may carry leading batch axes."""
-        out = None
-        for ax, (basis, sw) in enumerate(zip(self.bases, self.scaled_weights)):
-            grid_axis = -(ax + 1)
-            t = _apply_matrix_along(grid, basis.diff_matrix, grid_axis)
-            t *= sw
-            t = _apply_matrix_along(t, basis.diff_matrix.T, grid_axis)
-            out = t if out is None else out + t
+        """Apply the operator; grid may carry leading batch axes.
+
+        Each direction is two batched matmuls with no axis moves: x acts
+        on every element's (nz*ny, nx) view from the right, y on every
+        (ny, nx) plane from the left, z on every element's (nz, ny*nx) view
+        from the left.  Each product is a stack of per-element matrices,
+        small enough that BLAS runs it on the calling thread.
+        """
+        (dx, dxt, swx), (dy, dyt, swy), (dz, dzt, swz) = self._passes
+        lead = grid.shape[:-3]
+        nz, ny, nx = grid.shape[-3:]
+        t = grid.reshape(*lead, nz * ny, nx) @ dxt
+        t *= swx
+        out = (t @ dx).reshape(grid.shape)
+        t = dy @ grid
+        t *= swy
+        out += dyt @ t
+        t = dz @ grid.reshape(*lead, nz, ny * nx)
+        t *= swz
+        out += (dzt @ t).reshape(grid.shape)
         if counter is not None:
             npts = grid.size
             per_axis = sum(2 * npts * b.n_points for b in self.bases)

@@ -268,16 +268,20 @@ class RankWorker:
                 arr[left] = shared
                 arr[right] = shared
             if minus is not None:
-                arr[lo] = arr[lo] + self.endpoint.receive(minus)
+                arr[lo] = arr[lo] + self.endpoint.receive(minus, tag="halo")
             if plus is not None:
-                arr[hi] = arr[hi] + self.endpoint.receive(plus)
+                arr[hi] = arr[hi] + self.endpoint.receive(plus, tag="halo")
         return arr
 
     # -- counted kernels ---------------------------------------------------
 
     def _dot_partial(self, u, v):
+        # one pass, no temporaries; inv_mult's size-1 field axis f
+        # broadcasts over the fields
         self.counter.count(add=u.size, mul=2 * u.size)
-        return float(np.sum(u * v * self.inv_mult))
+        return float(
+            np.einsum("zyxfkji,zyxfkji,zyxfkji->", u, v, self.inv_mult)
+        )
 
     def _allreduce(self, *partials):
         return allreduce_sum(self.endpoint, np.array(partials))
@@ -345,7 +349,9 @@ class RankWorker:
         iters = 0
         best_rr, best_iter = rr, 0
         while iters < max_iters:
-            if threshold is not None and rr <= threshold:
+            # rho reaches 0, exactly or by underflow, once r vanishes: the
+            # solve has converged, and one more iteration would divide 0 by 0
+            if rho == 0.0 or (threshold is not None and rr <= threshold):
                 break
             q = self.matvec(p)
             den, = self._allreduce(self._dot_partial(p, q))
@@ -467,7 +473,8 @@ def run_work_unit(
     forcing=None,
     collect_fields=False,
 ):
-    """Execute the CG work unit, one thread per rank, on a loopback transport.
+    """Execute the CG work unit, one thread per rank (rank 0 on the caller's),
+    on a loopback transport.
 
     With ``rtol`` unset each step runs the configured iteration budget;
     with ``rtol`` set, steps stop at the relative residual (and raise
@@ -476,16 +483,25 @@ def run_work_unit(
     """
     if plan is None:
         plan = partition_elements(config, n_ranks or 1)
+    rank0, *others = loopback_transport(plan.n_ranks)
+
+    def run_rank(ep):
+        return _rank_main(
+            config, plan, ep, rtol, max_iters, bc,
+            mean_zero, forcing, collect_fields,
+        )
+
+    # Rank 0 runs on the calling thread and ranks 1..P-1 on the pool (which
+    # starts a thread per submit only), so back-to-back P=1 units reuse one
+    # thread and its malloc arena instead of leaving one resident per unit.
     with ThreadPoolExecutor(max_workers=plan.n_ranks) as pool:
-        futures = [
-            pool.submit(
-                _rank_main,
-                config, plan, ep, rtol, max_iters, bc,
-                mean_zero, forcing, collect_fields,
-            )
-            for ep in loopback_transport(plan.n_ranks)
-        ]
-    errors = [f.exception() for f in futures if f.exception() is not None]
+        futures = [pool.submit(run_rank, ep) for ep in others]
+        errors = []
+        try:
+            results = [run_rank(rank0)]
+        except Exception as exc:
+            errors.append(exc)
+    errors += [f.exception() for f in futures if f.exception() is not None]
     if errors:
         # the ranks failed by the abort only report it; raise the cause
         raise next(
@@ -493,7 +509,7 @@ def run_work_unit(
              if not isinstance(e, (TransportAborted, TransportTimeout))),
             errors[0],
         )
-    results = [f.result() for f in futures]
+    results += [f.result() for f in futures]
     steps = []
     for per_rank in zip(*(r["steps"] for r in results)):
         # counts add up, the slowest rank sets the wall time, and every

@@ -48,7 +48,8 @@ class LoopbackEndpoint:
         self.tag_messages_sent[tag] += 1
         self._queues[self.rank, peer].put((tag, data))
 
-    def receive(self, peer, timeout=None):
+    def receive(self, peer, tag=None, timeout=None):
+        """Next message from peer; with tag set, it must carry that tag."""
         if peer not in self.peers:
             raise ValueError(f"rank {self.rank} has no peer {peer}")
         try:
@@ -59,8 +60,13 @@ class LoopbackEndpoint:
             ) from None
         if item is _ABORT:
             raise TransportAborted(f"rank {peer} aborted the transport")
-        tag, data = item
-        self.tag_words_received[tag] += data.size
+        got, data = item
+        if tag is not None and got != tag:
+            raise ValueError(
+                f"rank {self.rank} expected a {tag!r} message from rank "
+                f"{peer}, got {got!r}"
+            )
+        self.tag_words_received[got] += data.size
         return data
 
     def barrier(self, timeout=None):
@@ -109,9 +115,9 @@ def allreduce_sum(endpoint, values):
     if endpoint.rank == 0:
         acc = values.copy()
         for peer in range(1, endpoint.n_ranks):
-            acc = acc + endpoint.receive(peer)
+            acc = acc + endpoint.receive(peer, tag="reduce")
         for peer in range(1, endpoint.n_ranks):
             endpoint.send(peer, acc, tag="reduce")
         return acc
     endpoint.send(0, values, tag="reduce")
-    return endpoint.receive(0)
+    return endpoint.receive(0, tag="reduce")

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -201,8 +207,59 @@ class TestElementLaplacian:
         assert counter.multiplications == tally.multiplications
         assert counter.divisions == tally.divisions == 0
 
+    def test_batched_anisotropic_grid_matches_each_element(self):
+        bases = (build_gll_basis(2), build_gll_basis(3), build_gll_basis(4))
+        extents = (0.5, 1.0, 0.25)
+        op = ElementOperator(bases, extents)
+        rng = np.random.default_rng(21)
+        grid = rng.standard_normal((2, 1, 3, 1, 5, 4, 3))
+        out = op.apply_grid(grid)
+        assert out.shape == grid.shape
+        for idx in np.ndindex(grid.shape[:-3]):
+            ref, _ = ref_element_laplacian(grid[idx], bases, extents)
+            assert np.allclose(out[idx], ref, rtol=1e-11, atol=1e-11)
+            assert out[idx].tobytes() == op.apply_grid(grid[idx]).tobytes()
+
     def test_anisotropic_bases_supported(self):
         bases = (build_gll_basis(2), build_gll_basis(3), build_gll_basis(4))
         f = field_from_callable(lambda x, y, z: x * y + z, bases)
         out = apply_element_laplacian(f, bases)
         assert out.values.shape == (3 * 4 * 5,)
+
+
+# Times 20 applications of the fixed case (8^3 elements, N=8) with the BLAS
+# threading of the environment; prints process and calling-thread CPU.
+APPLY_CPU_SCRIPT = textwrap.dedent(
+    """
+    import time
+
+    import numpy as np
+
+    from semperf.basis import build_gll_basis
+    from semperf.kernel import ElementOperator
+
+    op = ElementOperator(tuple(build_gll_basis(8) for _ in range(3)), (0.125,) * 3)
+    grid = np.random.default_rng(0).standard_normal((8, 8, 8, 1, 9, 9, 9))
+    op.apply_grid(grid)
+    process0, thread0 = time.process_time(), time.thread_time()
+    for _ in range(20):
+        op.apply_grid(grid)
+    print(time.process_time() - process0, time.thread_time() - thread0)
+    """
+)
+
+
+def test_apply_grid_keeps_blas_on_the_calling_thread():
+    # a GEMM large enough for BLAS helper threads burns process CPU that the
+    # rank's thread CPU (what the step timers see) does not show
+    repo = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", APPLY_CPU_SCRIPT],
+        env={**os.environ, "PYTHONPATH": str(repo / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    process_s, thread_s = (float(v) for v in proc.stdout.split())
+    assert process_s <= 1.25 * thread_s + 0.05

@@ -1,7 +1,9 @@
+import math
 import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +173,17 @@ class TestGatherScatter:
             assert lo.tobytes() == hi.tobytes()
 
 
+class TestDotPartial:
+    def test_weights_every_field(self):
+        config = small_case(n_fields=2)
+        (endpoint,) = loopback_transport(1)
+        worker = RankWorker(config, partition_elements(config, 1), endpoint)
+        rng = np.random.default_rng(12)
+        u, v = rng.standard_normal((2, *worker._arr_shape))
+        expected = float(np.sum(u * v * worker.inv_mult))
+        assert worker._dot_partial(u, v) == pytest.approx(expected, rel=1e-12)
+
+
 class TestInterfaceCoherence:
     @pytest.mark.parametrize(
         "elements,n_ranks",
@@ -198,7 +211,8 @@ class TestInterfaceCoherence:
 
 
 # Runs one work unit whose forcing raises on the rank that owns the far
-# corner of the box; the other ranks are then left waiting on it.
+# corner of the box (the last rank) or the near one (rank 0, which runs on
+# the calling thread); the other ranks are then left waiting on it.
 FAILING_RANK_SCRIPT = textwrap.dedent(
     """
     import sys
@@ -209,11 +223,16 @@ FAILING_RANK_SCRIPT = textwrap.dedent(
     from semperf.solver import run_work_unit
 
     def forcing(x, y, z):
-        if min(x.max(), y.max(), z.max()) > 0.99:
-            raise RuntimeError("forcing failed on the far corner")
+        if corner == "far":
+            hit = min(x.max(), y.max(), z.max()) > 0.99
+        else:
+            hit = max(x.min(), y.min(), z.min()) < 0.01
+        if hit:
+            raise RuntimeError(f"forcing failed on the {corner} corner")
         return np.ones(np.broadcast_shapes(x.shape, y.shape, z.shape))
 
-    *elements, n_ranks = (int(a) for a in sys.argv[1:])
+    *elements, n_ranks = (int(a) for a in sys.argv[1:5])
+    corner = sys.argv[5]
     config = CaseConfig(elements=elements, degrees=(3, 3, 3), cg_iters_per_step=2)
     try:
         run_work_unit(config, n_ranks=n_ranks, forcing=forcing)
@@ -226,12 +245,20 @@ FAILING_RANK_SCRIPT = textwrap.dedent(
 class TestRankFailure:
     # a subprocess, because ranks stuck on a failed peer would keep the
     # test process from exiting
-    @pytest.mark.parametrize("elements,n_ranks", [((2, 1, 1), 2), ((4, 1, 1), 4)])
-    def test_failing_rank_raises_its_own_error(self, elements, n_ranks):
+    @pytest.mark.parametrize(
+        "elements,n_ranks,corner",
+        [
+            pytest.param((2, 1, 1), 2, "far", id="elements0-2"),
+            pytest.param((4, 1, 1), 4, "far", id="elements1-4"),
+            pytest.param((2, 1, 1), 2, "near", id="rank0-2"),
+            pytest.param((4, 1, 1), 4, "near", id="rank0-4"),
+        ],
+    )
+    def test_failing_rank_raises_its_own_error(self, elements, n_ranks, corner):
         repo = Path(__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-c", FAILING_RANK_SCRIPT,
-             *(str(n) for n in (*elements, n_ranks))],
+             *(str(n) for n in (*elements, n_ranks)), corner],
             env={**os.environ, "PYTHONPATH": str(repo / "src")},
             capture_output=True,
             text=True,
@@ -239,8 +266,30 @@ class TestRankFailure:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == (
-            "RuntimeError: forcing failed on the far corner"
+            f"RuntimeError: forcing failed on the {corner} corner"
         )
+
+
+class TestRankThreads:
+    @staticmethod
+    def forcing_threads(n_ranks):
+        threads = []
+
+        def forcing(x, y, z):
+            threads.append(threading.current_thread())
+            return np.ones(np.broadcast_shapes(x.shape, y.shape, z.shape))
+
+        run_work_unit(small_case(elements=(2, 1, 1)), n_ranks=n_ranks,
+                      forcing=forcing)
+        return threads
+
+    def test_single_rank_runs_on_the_calling_thread(self):
+        assert self.forcing_threads(1) == [threading.main_thread()]
+
+    def test_exactly_one_rank_runs_on_the_calling_thread(self):
+        threads = self.forcing_threads(2)
+        assert len(threads) == 2
+        assert threads.count(threading.current_thread()) == 1
 
 
 class TestConvergence:
@@ -274,6 +323,17 @@ class TestConvergence:
                 worst, float(np.abs(grid[0] - default_solution(x, y, z)).max())
             )
         assert worst < 1e-8
+
+    def test_exact_convergence_stops_before_dividing_zero(self):
+        # rho reaches 0 after a few hundred iterations; one more would
+        # compute beta = 0 / 0
+        config = CaseConfig(
+            elements=(2, 2, 2), degrees=(4, 4, 4), cg_iters_per_step=2000
+        )
+        step = run_work_unit(config, n_ranks=2).steps[0]
+        assert math.isfinite(step.rel_residual)
+        assert step.iterations < 2000
+        assert step.flops == step_flops(config, 2, step.iterations)
 
     def test_residual_reported(self):
         config = small_case(cg_iters_per_step=30)

@@ -44,6 +44,13 @@ def test_counters_equal_payload_sizes():
     assert a.tag_messages_sent["reduce"] == 1
 
 
+def test_receive_rejects_an_unexpected_tag():
+    a, b = loopback_transport(2)
+    a.send(1, np.ones(2), tag="reduce")
+    with pytest.raises(ValueError, match="expected a 'halo' message"):
+        b.receive(0, tag="halo")
+
+
 def test_unknown_peer_rejected():
     (only,) = loopback_transport(1)
     assert only.peers == frozenset()
