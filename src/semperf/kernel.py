@@ -234,6 +234,10 @@ class ElementOperator:
                 (swx.reshape(nz * ny, nx), swy, swz.reshape(nz, ny * nx)),
             )
         )
+        # counted adds and muls per grid point of one application
+        per_axis = 2 * (nx + ny + nz)
+        self._adds_per_point = per_axis + 2
+        self._muls_per_point = per_axis + 3
 
     def apply_grid(self, grid, counter=None):
         """Apply the operator; grid may carry leading batch axes.
@@ -258,8 +262,9 @@ class ElementOperator:
         out += (dzt @ t).reshape(grid.shape)
         if counter is not None:
             npts = grid.size
-            per_axis = sum(2 * npts * b.n_points for b in self.bases)
-            counter.count(add=per_axis + 2 * npts, mul=per_axis + 3 * npts)
+            counter.count(
+                add=self._adds_per_point * npts, mul=self._muls_per_point * npts
+            )
         return out
 
     def diagonal_grid(self):

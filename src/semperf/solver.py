@@ -175,6 +175,26 @@ class RankWorker:
             for ax, (start, stop) in enumerate(self.block)
         ]
 
+        # per direction: (minus, plus, lo, hi, left, right), the face
+        # neighbors, the block's boundary planes, and the planes of the
+        # block's own interior interfaces (None with one element along it)
+        ndim = len(self._arr_shape)
+        self._halo = []
+        for ax, (minus, plus) in enumerate(self.neighbors):
+            el_ax, node_ax = self._EL_AXIS[ax], self._NODE_AXIS[ax]
+            left = right = None
+            if self.counts[ax] > 1:
+                left = _plane_index(ndim, el_ax, slice(None, -1), node_ax, -1)
+                right = _plane_index(ndim, el_ax, slice(1, None), node_ax, 0)
+            self._halo.append((
+                minus,
+                plus,
+                _plane_index(ndim, el_ax, 0, node_ax, 0),
+                _plane_index(ndim, el_ax, -1, node_ax, -1),
+                left,
+                right,
+            ))
+
         self._build_node_tables()
         self.inv_diag = None
         self.rhs = None
@@ -251,26 +271,20 @@ class RankWorker:
         interface compute the same two-term sum, which IEEE addition makes
         bitwise identical.
         """
-        for ax in range(3):
-            el_ax = self._EL_AXIS[ax]
-            node_ax = self._NODE_AXIS[ax]
-            minus, plus = self.neighbors[ax]
-            lo = _plane_index(arr.ndim, el_ax, 0, node_ax, 0)
-            hi = _plane_index(arr.ndim, el_ax, -1, node_ax, -1)
+        endpoint = self.endpoint
+        for minus, plus, lo, hi, left, right in self._halo:
             if minus is not None:
-                self.endpoint.send(minus, arr[lo], tag="halo")
+                endpoint.send(minus, arr[lo], tag="halo")
             if plus is not None:
-                self.endpoint.send(plus, arr[hi], tag="halo")
-            if arr.shape[el_ax] > 1:
-                left = _plane_index(arr.ndim, el_ax, slice(None, -1), node_ax, -1)
-                right = _plane_index(arr.ndim, el_ax, slice(1, None), node_ax, 0)
+                endpoint.send(plus, arr[hi], tag="halo")
+            if left is not None:
                 shared = arr[left] + arr[right]
                 arr[left] = shared
                 arr[right] = shared
             if minus is not None:
-                arr[lo] = arr[lo] + self.endpoint.receive(minus, tag="halo")
+                arr[lo] += endpoint.receive(minus, tag="halo")
             if plus is not None:
-                arr[hi] = arr[hi] + self.endpoint.receive(plus, tag="halo")
+                arr[hi] += endpoint.receive(plus, tag="halo")
         return arr
 
     # -- counted kernels ---------------------------------------------------
@@ -359,9 +373,14 @@ class RankWorker:
                 break
             alpha = rho / den
             self.counter.count(div=1)
-            x += alpha * p
-            r -= alpha * q
-            z = self.inv_diag * r
+            # in place, with z (dead until the precondition) and q (dead
+            # after the r update) as scratch; same bits as x += alpha * p,
+            # r -= alpha * q and z = inv_diag * r
+            np.multiply(p, alpha, out=z)
+            x += z
+            q *= alpha
+            r -= q
+            np.multiply(self.inv_diag, r, out=z)
             self.counter.count(add=2 * size, mul=3 * size)
             if self.bc == "neumann" and self.mean_zero:
                 self._project_mean(z)
@@ -370,7 +389,8 @@ class RankWorker:
             )
             beta = rho_new / rho
             self.counter.count(div=1)
-            p = z + beta * p
+            p *= beta
+            p += z  # same bits as z + beta * p
             self.counter.count(add=size, mul=size)
             rho = rho_new
             iters += 1

@@ -1,12 +1,15 @@
 """In-memory message transport connecting rank workers on one host.
 
-Endpoints are fully connected through per-ordered-pair FIFO queues, so
-message order is preserved between any two ranks and delivery is exact
-(payloads are copied on send).  Word and message counters are kept per
-tag; halo traffic and reduction traffic are tagged separately so face
-exchange accounting stays comparable with the partition-module
-predictions.  A rank that fails aborts the fabric: every peer blocked on
-it, or on a peer that aborts in turn, raises instead of waiting forever.
+Endpoints are fully connected through one ``queue.SimpleQueue`` mailbox
+per ordered pair, so message order is preserved between any two ranks and
+delivery is exact (payloads are copied on send).  Word and message
+counters are kept per tag; halo traffic and reduction traffic are tagged
+separately so face exchange accounting stays comparable with the
+partition-module predictions.  ``allreduce_sum`` is one hop: every rank
+sends its partial to every peer and sums all partials in ascending rank
+order, so each rank sends (P-1)*n reduction words per n-word reduction.
+A rank that fails aborts the fabric: every peer blocked on it, or on a
+peer that aborts in turn, raises instead of waiting forever.
 """
 
 import queue
@@ -91,7 +94,7 @@ def loopback_transport(n_ranks):
     if n_ranks < 1:
         raise ValueError("n_ranks must be >= 1")
     queues = {
-        (src, dst): queue.Queue()
+        (src, dst): queue.SimpleQueue()
         for src in range(n_ranks)
         for dst in range(n_ranks)
         if src != dst
@@ -106,18 +109,20 @@ def loopback_transport(n_ranks):
 def allreduce_sum(endpoint, values):
     """Sum a small vector across ranks, deterministically in rank order.
 
-    Rank 0 accumulates partials in ascending rank order and broadcasts the
-    result, so every rank sees bitwise-identical sums within a run.
+    Every rank sends its partial to every peer and adds all P partials in
+    ascending rank order, so every rank gets bitwise-identical sums after
+    one hop.
     """
     values = np.atleast_1d(np.asarray(values, dtype=float))
-    if endpoint.n_ranks == 1:
+    rank, n_ranks = endpoint.rank, endpoint.n_ranks
+    if n_ranks == 1:
         return values.copy()
-    if endpoint.rank == 0:
-        acc = values.copy()
-        for peer in range(1, endpoint.n_ranks):
-            acc = acc + endpoint.receive(peer, tag="reduce")
-        for peer in range(1, endpoint.n_ranks):
-            endpoint.send(peer, acc, tag="reduce")
-        return acc
-    endpoint.send(0, values, tag="reduce")
-    return endpoint.receive(0, tag="reduce")
+    for peer in range(n_ranks):
+        if peer != rank:
+            endpoint.send(peer, values, tag="reduce")
+    acc = values if rank == 0 else endpoint.receive(0, tag="reduce")
+    for peer in range(1, n_ranks):
+        acc = acc + (
+            values if peer == rank else endpoint.receive(peer, tag="reduce")
+        )
+    return acc

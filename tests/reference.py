@@ -7,6 +7,8 @@ term, weight scalings counted once per point, direction results summed
 pairwise.
 """
 
+import math
+
 import numpy as np
 
 
@@ -105,3 +107,51 @@ def ref_histogram_tally(samples, edges):
         else:
             counts[-1] += 1
     return counts
+
+
+def ref_cg_step(worker, rtol=None, max_iters=None):
+    """Out-of-place Jacobi-CG step of a Dirichlet RankWorker.
+
+    Each update allocates a fresh array, the way the in-place product loop
+    must reproduce bit for bit, counted flops included.  Built on the
+    worker's matvec, dot partials and reduction, so it can stand in for
+    ``RankWorker.run_step``.
+    """
+    if max_iters is None:
+        max_iters = worker.config.cg_iters_per_step
+    counter = worker.counter
+    size = worker.rhs.size
+    x = np.zeros_like(worker.rhs)
+    r = worker.rhs.copy()
+    z = worker.inv_diag * r
+    counter.count(mul=size)
+    rho, rr = worker._allreduce(
+        worker._dot_partial(r, z), worker._dot_partial(r, r)
+    )
+    rr0 = rr if rr > 0 else 1.0
+    threshold = (rtol * rtol) * rr0 if rtol is not None else None
+    p = z.copy()
+    iters = 0
+    while iters < max_iters:
+        if rho == 0.0 or (threshold is not None and rr <= threshold):
+            break
+        q = worker.matvec(p)
+        den, = worker._allreduce(worker._dot_partial(p, q))
+        if den == 0.0:
+            break
+        alpha = rho / den
+        counter.count(div=1)
+        x += alpha * p
+        r -= alpha * q
+        z = worker.inv_diag * r
+        counter.count(add=2 * size, mul=3 * size)
+        rho_new, rr = worker._allreduce(
+            worker._dot_partial(r, z), worker._dot_partial(r, r)
+        )
+        beta = rho_new / rho
+        counter.count(div=1)
+        p = z + beta * p
+        counter.count(add=size, mul=size)
+        rho = rho_new
+        iters += 1
+    return x, iters, math.sqrt(rr / rr0)

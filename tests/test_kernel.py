@@ -220,6 +220,19 @@ class TestElementLaplacian:
             assert np.allclose(out[idx], ref, rtol=1e-11, atol=1e-11)
             assert out[idx].tobytes() == op.apply_grid(grid[idx]).tobytes()
 
+    def test_batched_anisotropic_grid_counts_each_element(self):
+        bases = (build_gll_basis(2), build_gll_basis(3), build_gll_basis(4))
+        extents = (0.5, 1.0, 0.25)
+        op = ElementOperator(bases, extents)
+        grid = np.random.default_rng(21).standard_normal((2, 1, 3, 1, 5, 4, 3))
+        counter = FlopCounter()
+        op.apply_grid(grid, counter=counter)
+        _, tally = ref_element_laplacian(grid[0, 0, 0, 0], bases, extents)
+        # the batch counts as its 6 elements, each as the loop tallies it
+        assert counter.additions == 6 * tally.additions
+        assert counter.multiplications == 6 * tally.multiplications
+        assert counter.divisions == 0
+
     def test_anisotropic_bases_supported(self):
         bases = (build_gll_basis(2), build_gll_basis(3), build_gll_basis(4))
         f = field_from_callable(lambda x, y, z: x * y + z, bases)

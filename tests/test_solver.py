@@ -4,6 +4,8 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,8 @@ from semperf.solver import (
     step_flops,
 )
 from semperf.transport import loopback_transport
+
+from reference import ref_cg_step
 
 
 def small_case(**overrides):
@@ -242,6 +246,39 @@ FAILING_RANK_SCRIPT = textwrap.dedent(
 )
 
 
+# Runs one work unit in which one rank raises at its third allreduce_sum
+# call (the first rho update), while its peers wait in that reduction's
+# receive.
+MID_STEP_FAILURE_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    from semperf import solver
+    from semperf.kernel import CaseConfig
+
+    *elements, n_ranks, failing = (int(a) for a in sys.argv[1:6])
+    reduce = solver.allreduce_sum
+    calls = 0
+
+    def allreduce_sum(endpoint, values):
+        global calls
+        if endpoint.rank == failing:
+            calls += 1
+            if calls == 3:
+                raise RuntimeError(f"rank {failing} failed in a reduction")
+        return reduce(endpoint, values)
+
+    solver.allreduce_sum = allreduce_sum
+    config = CaseConfig(elements=elements, degrees=(3, 3, 3), cg_iters_per_step=2)
+    try:
+        solver.run_work_unit(config, n_ranks=n_ranks)
+    except Exception as exc:
+        print(f"{type(exc).__name__}: {exc}")
+    """
+)
+
+
+
 class TestRankFailure:
     # a subprocess, because ranks stuck on a failed peer would keep the
     # test process from exiting
@@ -269,6 +306,26 @@ class TestRankFailure:
             f"RuntimeError: forcing failed on the {corner} corner"
         )
 
+    @pytest.mark.parametrize("n_ranks", [2, 4])
+    @pytest.mark.parametrize("which", ["rank0", "last"])
+    def test_rank_failing_in_a_reduction_raises_its_own_error(
+        self, which, n_ranks
+    ):
+        failing = 0 if which == "rank0" else n_ranks - 1
+        repo = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", MID_STEP_FAILURE_SCRIPT,
+             *(str(n) for n in (n_ranks, 1, 1, n_ranks, failing))],
+            env={**os.environ, "PYTHONPATH": str(repo / "src")},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == (
+            f"RuntimeError: rank {failing} failed in a reduction"
+        )
+
 
 class TestRankThreads:
     @staticmethod
@@ -290,6 +347,65 @@ class TestRankThreads:
         threads = self.forcing_threads(2)
         assert len(threads) == 2
         assert threads.count(threading.current_thread()) == 1
+
+
+class TestInPlaceLoop:
+    @staticmethod
+    def rough_forcing(x, y, z):
+        return np.sin(3 * np.pi * x + 0.3) * np.cos(2 * np.pi * y + 1.1) + z
+
+    # rtol 0.1 stops each step at 11 of its 12 iterations
+    @pytest.mark.parametrize("rtol", [None, 0.1])
+    @pytest.mark.parametrize("n_ranks", [1, 2, 3])
+    def test_matches_out_of_place_reference_bitwise(
+        self, monkeypatch, n_ranks, rtol
+    ):
+        config = CaseConfig(
+            elements=(3, 2, 2), degrees=(4, 3, 5), n_fields=2, steps=2,
+            cg_iters_per_step=12,
+        )
+
+        def run():
+            return run_work_unit(
+                config, n_ranks=n_ranks, rtol=rtol, max_iters=12,
+                forcing=self.rough_forcing, collect_fields=True,
+            )
+
+        product = run()
+        monkeypatch.setattr(RankWorker, "run_step", ref_cg_step)
+        reference = run()
+        # iterations, residual and every counter of each step
+        assert [replace(s, walltime=0.0) for s in product.steps] == [
+            replace(s, walltime=0.0) for s in reference.steps
+        ]
+        assert [c.total for c in product.per_rank_flops] == [
+            c.total for c in reference.per_rank_flops
+        ]
+        assert product.fields.keys() == reference.fields.keys()
+        for key, grid in product.fields.items():
+            assert grid.tobytes() == reference.fields[key].tobytes()
+
+
+class TestStepMemory:
+    def test_step_peak_stays_within_eight_full_arrays(self):
+        # x, r, z, p and q of the loop plus the operator's temporaries; a
+        # further full-size buffer held across the step would make it nine
+        config = CaseConfig(
+            elements=(4, 4, 4), degrees=(6, 6, 6), cg_iters_per_step=5
+        )
+        (endpoint,) = loopback_transport(1)
+        worker = RankWorker(config, partition_elements(config, 1), endpoint)
+        worker.setup()
+        worker.run_step()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            worker.run_step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # half an array of slack for the step's small objects
+        assert (peak - base) / worker.rhs.nbytes < 8.5
 
 
 class TestConvergence:

@@ -123,3 +123,38 @@ def test_allreduce_sums_in_rank_order():
 def test_allreduce_single_rank():
     (only,) = loopback_transport(1)
     assert allreduce_sum(only, [2.5]).tolist() == [2.5]
+
+
+def test_allreduce_single_rank_sends_nothing():
+    (only,) = loopback_transport(1)
+    allreduce_sum(only, np.ones(4))
+    assert only.tag_messages_sent["reduce"] == 0
+    assert only.tag_words_sent["reduce"] == 0
+
+
+def test_allreduce_is_one_hop_in_rank_order():
+    n = 5
+    endpoints = loopback_transport(3)
+    # magnitudes far apart, so (v0 + v1) + v2 and v0 + (v1 + v2) differ
+    partials = [
+        np.random.default_rng(rank).standard_normal(n) * 10.0 ** (8 * rank)
+        for rank in range(3)
+    ]
+    results = {}
+
+    def worker(ep):
+        results[ep.rank] = allreduce_sum(ep, partials[ep.rank])
+
+    threads = [threading.Thread(target=worker, args=(ep,)) for ep in endpoints]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+    expected = ((partials[0] + partials[1]) + partials[2]).tobytes()
+    for ep in endpoints:
+        assert results[ep.rank].tobytes() == expected
+        # one n-word message to each peer and one from each
+        assert ep.tag_messages_sent["reduce"] == 2
+        assert ep.tag_words_sent["reduce"] == 2 * n
+        assert ep.tag_words_received["reduce"] == 2 * n
