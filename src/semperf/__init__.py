@@ -35,8 +35,6 @@ from .kernel import (
     ElementField,
     FlopCounter,
     apply_element_laplacian,
-    dof_count,
-    memory_estimate,
     tensor_derivative,
 )
 from .partition import (

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import CalibrationDegenerateError
 from .kernel import MEGA, WORD_BYTES
@@ -270,6 +269,11 @@ def _solve_exact(inputs, base_bandwidth):
 
 
 def _solve_least_squares(inputs, base_bandwidth):
+    # Imported here, not at module level: scipy.optimize costs every
+    # process that imports semperf about 0.5 s of CPU, and only a fit of
+    # 4 or more rows uses it.
+    from scipy.optimize import minimize_scalar
+
     # For a fixed alpha the residuals are linear in (W, T_L); scan alpha.
     c = np.array([row.t_p / row.gamma for row in inputs])
 

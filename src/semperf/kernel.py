@@ -16,10 +16,6 @@ from .basis import SpectralBasis
 WORD_BYTES = 8
 MEGA = 1_000_000
 
-# Equivalent 8-byte words resident per grid point, calibrated so a
-# 4x4x4-element, degree-8 block costs 200 MB.
-DEFAULT_WORDS_PER_POINT = 200 * MEGA / (64 * 729 * WORD_BYTES)
-
 _AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
 
 
@@ -87,22 +83,6 @@ class CaseConfig:
     def points_per_element(self):
         nx, ny, nz = self.degrees
         return (nx + 1) * (ny + 1) * (nz + 1)
-
-    @property
-    def dof_per_element(self):
-        return self.n_fields * self.points_per_element
-
-
-def dof_count(config):
-    """Total independent variables: elements x n_fields x grid points."""
-    return config.n_elements * config.dof_per_element
-
-
-def memory_estimate(config, words_per_point=DEFAULT_WORDS_PER_POINT):
-    """Estimated resident bytes: words_per_point * grid points * 8 bytes."""
-    if words_per_point <= 0:
-        raise ValueError("words_per_point must be positive")
-    return words_per_point * config.n_elements * config.points_per_element * WORD_BYTES
 
 
 @dataclass

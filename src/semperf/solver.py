@@ -367,9 +367,14 @@ class RankWorker:
             # solve has converged, and one more iteration would divide 0 by 0
             if rho == 0.0 or (threshold is not None and rr <= threshold):
                 break
+            counted = self.counter.additions, self.counter.multiplications
             q = self.matvec(p)
             den, = self._allreduce(self._dot_partial(p, q))
             if den == 0.0:
+                # p.q underflowed while rho did not: stop, and take this
+                # unfinished iteration's operator and p.q partial off the
+                # tally, so the step counts step_flops(config, P, iters)
+                self.counter.additions, self.counter.multiplications = counted
                 break
             alpha = rho / den
             self.counter.count(div=1)

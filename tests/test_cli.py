@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -366,3 +370,45 @@ def test_init_config_writes_valid_example(tmp_path, capsys):
     data = json.loads(path.read_text(encoding="utf-8"))
     assert data["version"] == 1
     assert "strong8" in data["campaigns"]
+
+
+class TestFreshInterpreter:
+    """scipy loads only for an over-determined calibration."""
+
+    @staticmethod
+    def run(*args):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, *args],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_simulated_bench_does_not_import_scipy(self, config_path):
+        script = textwrap.dedent(
+            f"""
+            import sys
+            import semperf
+            import semperf.cli
+            assert semperf.cli.main(["bench", "strong8", "--config", {str(config_path)!r}]) == 0
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            """
+        )
+        assert self.run("-c", script).splitlines()[-1] == "[]"
+
+    def test_four_row_calibration_fits(self, tmp_path):
+        table = tmp_path / "gamma.csv"
+        table.write_text(
+            CALIBRATION_CSV + "pleiades2half,7.93,2.67,scaled_shared,2\n",
+            encoding="utf-8",
+        )
+        artifact = tmp_path / "fit.json"
+        self.run("-m", "semperf", "calibrate", str(table), "--out", str(artifact))
+        fit = json.loads(artifact.read_text(encoding="utf-8"))
+        assert len(fit["residuals_s"]) == 4
+        assert fit["t_l_s"] == pytest.approx(1.0, abs=0.05)
+        assert fit["alpha"] == pytest.approx(8.4, abs=0.2)

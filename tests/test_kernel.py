@@ -15,9 +15,7 @@ from semperf.kernel import (
     ElementOperator,
     FlopCounter,
     apply_element_laplacian,
-    dof_count,
     field_from_callable,
-    memory_estimate,
     tensor_derivative,
 )
 
@@ -25,17 +23,14 @@ from reference import ref_element_laplacian, ref_tensor_derivative
 
 
 class TestCaseConfig:
-    def test_dof_count_reference_case(self):
+    # n_elements and points_per_element size every flop oracle
+    def test_point_count_reference_case(self):
         cfg = CaseConfig(elements=(8, 8, 8), degrees=(8, 8, 8), n_fields=1)
-        assert dof_count(cfg) == 512 * 729 == 373_248
+        assert cfg.n_elements * cfg.points_per_element == 512 * 729 == 373_248
 
-    def test_dof_count_small(self):
-        cfg = CaseConfig(elements=(1, 1, 1), degrees=(2, 2, 2), n_fields=3)
-        assert dof_count(cfg) == 81
-
-    def test_dof_count_blue_block(self):
-        cfg = CaseConfig(elements=(4, 4, 4), degrees=(8, 8, 8))
-        assert dof_count(cfg) == 46_656
+    def test_point_count_anisotropic(self):
+        cfg = CaseConfig(elements=(1, 2, 3), degrees=(2, 3, 4), n_fields=3)
+        assert (cfg.n_elements, cfg.points_per_element) == (6, 60)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -62,26 +57,6 @@ class TestCaseConfig:
             value = (4, value, 4)
         with pytest.raises(ValueError, match="must be integers"):
             CaseConfig(**{name: value})
-
-
-class TestMemoryEstimate:
-    def test_reference_block_is_200_mb(self):
-        cfg = CaseConfig(elements=(4, 4, 4), degrees=(8, 8, 8))
-        assert memory_estimate(cfg) == pytest.approx(200e6, rel=0.01)
-
-    def test_linear_in_elements(self):
-        cfg = CaseConfig(elements=(4, 4, 4), degrees=(8, 8, 8))
-        doubled = CaseConfig(elements=(8, 4, 4), degrees=(8, 8, 8))
-        assert memory_estimate(doubled) == 2 * memory_estimate(cfg)
-
-    def test_eight_blocks(self):
-        cfg = CaseConfig(elements=(8, 8, 8), degrees=(8, 8, 8))
-        assert memory_estimate(cfg) == pytest.approx(1600e6, rel=1e-12)
-
-    def test_coefficient_validation(self):
-        cfg = CaseConfig()
-        with pytest.raises(ValueError):
-            memory_estimate(cfg, words_per_point=0)
 
 
 class TestFlopCounter:

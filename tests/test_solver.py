@@ -17,6 +17,7 @@ from semperf.kernel import CaseConfig
 from semperf.partition import partition_elements, words_per_step
 from semperf.solver import (
     RankWorker,
+    default_forcing,
     default_solution,
     iteration_flops,
     run_work_unit,
@@ -450,6 +451,21 @@ class TestConvergence:
         assert math.isfinite(step.rel_residual)
         assert step.iterations < 2000
         assert step.flops == step_flops(config, 2, step.iterations)
+
+    def test_underflowing_curvature_stop_counts_only_done_iterations(self):
+        # at this load scale rho = r.z is a nonzero subnormal but p.q
+        # underflows to 0, so the step stops inside its first iteration,
+        # after the operator apply and the p.q partial
+        config = CaseConfig(
+            elements=(2, 2, 2), degrees=(4, 4, 4), cg_iters_per_step=3
+        )
+
+        def tiny_forcing(x, y, z):
+            return 4e-161 * default_forcing(x, y, z)
+
+        step = run_work_unit(config, n_ranks=1, forcing=tiny_forcing).steps[0]
+        assert (step.iterations, step.rel_residual) == (0, 1.0)
+        assert step.flops == step_flops(config, 1, step.iterations)
 
     def test_residual_reported(self):
         config = small_case(cg_iters_per_step=30)
