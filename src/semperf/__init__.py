@@ -3,7 +3,6 @@
 from .basis import SpectralBasis, build_gll_basis
 from .errors import (
     CalibrationDegenerateError,
-    DivergenceError,
     OverDecompositionError,
     SemperfError,
 )
@@ -14,11 +13,9 @@ from .gamma import (
     TimeDecomposition,
     analyze_usage_histogram,
     calibrate,
-    efficiency,
     gamma_from_efficiency,
     gamma_from_times,
     normalize_node_usage,
-    predict_speedup,
     predict_time,
 )
 from .harness import (

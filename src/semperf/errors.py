@@ -9,10 +9,6 @@ class OverDecompositionError(SemperfError):
     """Raised when a partition asks for more ranks than there are elements."""
 
 
-class DivergenceError(SemperfError):
-    """Raised when the iterative solver stops making progress."""
-
-
 class CalibrationDegenerateError(SemperfError):
     """Raised when the interconnect calibration system is singular.
 

@@ -99,26 +99,6 @@ class TimeDecomposition:
         return self.t_p + self.t_c + self.t_l
 
 
-def predict_speedup(p, gamma):
-    """S = P / (1 + 1/Gamma); equals P when communication is free."""
-    if p < 1:
-        raise ValueError("P must be >= 1")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if math.isinf(gamma):
-        return float(p)
-    return p / (1.0 + 1.0 / gamma)
-
-
-def efficiency(gamma):
-    """E = Gamma / (1 + Gamma) = S / P."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if math.isinf(gamma):
-        return 1.0
-    return gamma / (1.0 + gamma)
-
-
 def gamma_from_efficiency(e):
     """Invert the efficiency relation: Gamma = E / (1 - E)."""
     if not 0.0 < e < 1.0:

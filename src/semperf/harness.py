@@ -211,6 +211,12 @@ def model_point(case, machine, n_ranks, seed=0):
 def _executed_point(case, machine, n_ranks, seed=0):
     plan = partition_elements(case, n_ranks)
     report = run_work_unit(case, plan=plan)
+    budget = case.cg_iters_per_step
+    warnings = tuple(
+        f"step {i} stopped early: {s.iterations} of {budget} CG iterations"
+        for i, s in enumerate(report.steps)
+        if s.iterations < budget
+    )
     return RunRecord(
         kind="point",
         mode="exec",
@@ -220,6 +226,7 @@ def _executed_point(case, machine, n_ranks, seed=0):
         rank_grid=plan.rank_grid,
         cut_face_count=len(plan.cut_faces),
         steps=report.steps,
+        warnings=warnings,
         seed=seed,
     )
 

@@ -117,13 +117,6 @@ class ElementField:
         return cls(index=index, shape=(nx, ny, nz), values=np.asarray(grid, dtype=float).reshape(-1))
 
 
-def field_from_callable(fn, bases, index=(0, 0, 0)):
-    """Sample fn(x, y, z) on the reference grid of the given bases."""
-    bx, by, bz = _three_bases(bases)
-    z, y, x = np.meshgrid(bz.nodes, by.nodes, bx.nodes, indexing="ij")
-    return ElementField.from_grid(index, fn(x, y, z))
-
-
 def _three_bases(bases):
     if isinstance(bases, SpectralBasis):
         return bases, bases, bases

@@ -70,15 +70,6 @@ class PartitionPlan:
             self.block_ranges[2][bz],
         )
 
-    def elements_of(self, rank):
-        (x0, x1), (y0, y1), (z0, z1) = self.block_of(rank)
-        return [
-            (i, j, k)
-            for k in range(z0, z1)
-            for j in range(y0, y1)
-            for i in range(x0, x1)
-        ]
-
     @property
     def neighbor_pairs(self):
         return sorted({(min(a, b), max(a, b)) for _, _, a, b in self.cut_faces})

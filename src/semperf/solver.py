@@ -1,13 +1,13 @@
 """Distributed conjugate-gradient work unit on the partitioned element mesh.
 
 The mesh covers the unit box [0, 1]^3, so an element spans 1 / elements
-along each direction.  Each rank owns a contiguous block of elements and
-holds the nodal values of its elements redundantly at interfaces.  One
-work step runs a budget of Jacobi-preconditioned CG iterations on the
-assembled weak Laplacian; every operator application is followed by a
-gather-scatter (direct-stiffness summation), performed as one face
-exchange sweep per direction so edge and corner values ride inside the
-face messages.
+along each direction, and every boundary is homogeneous Dirichlet.  Each
+rank owns a contiguous block of elements and holds the nodal values of its
+elements redundantly at interfaces.  One work step runs a budget of
+Jacobi-preconditioned CG iterations on the assembled weak Laplacian; every
+operator application is followed by a gather-scatter (direct-stiffness
+summation), performed as one face exchange sweep per direction so edge and
+corner values ride inside the face messages.
 
 Counted flops cover the element-local solve arithmetic: operator
 applications, vector updates, dot-product partials and the alpha/beta
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import build_gll_basis
-from .errors import DivergenceError
 from .kernel import ElementOperator, FlopCounter, laplacian_flops
 from .partition import partition_elements
 from .transport import (
@@ -34,9 +33,6 @@ from .transport import (
     allreduce_sum,
     loopback_transport,
 )
-
-STALL_WINDOW = 50
-STALL_IMPROVEMENT = 0.99
 
 # Flops per stored value and CG iteration outside the operator:
 # dot(p,q) 3, x update 2, r update 2, precondition 1, dot(r,z) 3,
@@ -92,8 +88,11 @@ class StepRecord:
     """One work step: exact counters, wall time and the modeled time split.
 
     An executed step carries one rank's figures, or all ranks' combined;
-    its ``t_p``/``t_c``/``t_l`` are None.  A modeled step has no residual
-    or reduction count, and its wall time is the sum of the modeled parts.
+    its ``t_p``/``t_c``/``t_l`` are None.  Its halo counters count the
+    exchanges performed, so a step that stops on an underflowing ``p.q``
+    counts one exchange more than its iterations.  A modeled step has no
+    residual or reduction count, and its wall time is the sum of the
+    modeled parts.
     """
 
     iterations: int
@@ -124,30 +123,15 @@ class WorkUnitReport:
     def iterations(self):
         return tuple(s.iterations for s in self.steps)
 
-    @property
-    def total_flops(self):
-        return sum(c.total for c in self.per_rank_flops)
-
 
 class RankWorker:
     """State and kernels of one rank's block of elements."""
 
-    def __init__(
-        self,
-        config,
-        plan,
-        endpoint,
-        bc="dirichlet",
-        mean_zero=False,
-    ):
-        if bc not in ("dirichlet", "neumann"):
-            raise ValueError(f"unknown boundary condition {bc!r}")
+    def __init__(self, config, plan, endpoint):
         self.config = config
         self.plan = plan
         self.endpoint = endpoint
         self.rank = endpoint.rank
-        self.bc = bc
-        self.mean_zero = mean_zero
         self.counter = FlopCounter()
 
         (x0, x1), (y0, y1), (z0, z1) = plan.block_of(self.rank)
@@ -225,22 +209,17 @@ class RankWorker:
                 vec[-1] = 0.0
 
         mx, my, mz = (self._axis_table(ax, mult) for ax in range(3))
-        cx, cy, cz = self.counts
-        nx, ny, nz = self.shape
         self.inv_mult = 1.0 / (
             mz[:, None, None, None, :, None, None]
             * my[None, :, None, None, None, :, None]
             * mx[None, None, :, None, None, None, :]
         )
-        if self.bc == "dirichlet":
-            dx, dy, dz = (self._axis_table(ax, bound) for ax in range(3))
-            self.mask = (
-                dz[:, None, None, None, :, None, None]
-                * dy[None, :, None, None, None, :, None]
-                * dx[None, None, :, None, None, None, :]
-            )
-        else:
-            self.mask = None
+        dx, dy, dz = (self._axis_table(ax, bound) for ax in range(3))
+        self.mask = (
+            dz[:, None, None, None, :, None, None]
+            * dy[None, :, None, None, None, :, None]
+            * dx[None, None, :, None, None, None, :]
+        )
 
     def _coordinates(self):
         """Broadcastable global coordinates of the block's nodes."""
@@ -303,22 +282,13 @@ class RankWorker:
     def matvec(self, p):
         q = self.op.apply_grid(p, counter=self.counter)
         self.dssum(q)
-        if self.mask is not None:
-            q *= self.mask
+        q *= self.mask
         return q
-
-    def _project_mean(self, arr):
-        # remove the constant component, weighted by unique-node counts
-        local = float(np.sum(arr * self.inv_mult))
-        total, = self._allreduce(local)
-        arr -= total / self._unique_nodes
-        return arr
 
     # -- setup ---------------------------------------------------------------
 
     def setup(self, forcing=None):
         forcing = forcing or default_forcing
-        nx, ny, nz = self.shape
         diag = np.broadcast_to(
             self.op.diagonal_grid(), self._arr_shape
         ).copy()
@@ -331,15 +301,7 @@ class RankWorker:
         ).copy()
         b = f_vals * self.op.mass_weights
         self.dssum(b)
-        if self.mask is not None:
-            b *= self.mask
-        ex, ey, ez = self.config.elements
-        nxg = ex * (nx - 1) + 1
-        nyg = ey * (ny - 1) + 1
-        nzg = ez * (nz - 1) + 1
-        self._unique_nodes = nxg * nyg * nzg * self.config.n_fields
-        if self.bc == "neumann" and self.mean_zero:
-            self._project_mean(b)
+        b *= self.mask
         self.rhs = b
 
     # -- the work step -------------------------------------------------------
@@ -352,8 +314,6 @@ class RankWorker:
         r = self.rhs.copy()
         z = self.inv_diag * r
         self.counter.count(mul=size)
-        if self.bc == "neumann" and self.mean_zero:
-            self._project_mean(z)
         rho, rr = self._allreduce(
             self._dot_partial(r, z), self._dot_partial(r, r)
         )
@@ -361,7 +321,6 @@ class RankWorker:
         threshold = (rtol * rtol) * rr0 if rtol is not None else None
         p = z.copy()
         iters = 0
-        best_rr, best_iter = rr, 0
         while iters < max_iters:
             # rho reaches 0, exactly or by underflow, once r vanishes: the
             # solve has converged, and one more iteration would divide 0 by 0
@@ -387,8 +346,6 @@ class RankWorker:
             r -= q
             np.multiply(self.inv_diag, r, out=z)
             self.counter.count(add=2 * size, mul=3 * size)
-            if self.bc == "neumann" and self.mean_zero:
-                self._project_mean(z)
             rho_new, rr = self._allreduce(
                 self._dot_partial(r, z), self._dot_partial(r, r)
             )
@@ -399,16 +356,6 @@ class RankWorker:
             self.counter.count(add=size, mul=size)
             rho = rho_new
             iters += 1
-            if threshold is not None:
-                if rr < STALL_IMPROVEMENT * best_rr:
-                    best_rr, best_iter = rr, iters
-                elif iters - best_iter >= STALL_WINDOW:
-                    raise DivergenceError(
-                        f"no residual progress over {STALL_WINDOW} "
-                        f"iterations (relative residual "
-                        f"{math.sqrt(rr / rr0):.3e}); a pure-Neumann "
-                        "system needs the mean-zero projection"
-                    )
         return x, iters, math.sqrt(rr / rr0)
 
 
@@ -425,19 +372,11 @@ def _rank_main(
     endpoint,
     rtol,
     max_iters,
-    bc,
-    mean_zero,
     forcing,
     collect_fields,
 ):
     try:
-        worker = RankWorker(
-            config,
-            plan,
-            endpoint,
-            bc=bc,
-            mean_zero=mean_zero,
-        )
+        worker = RankWorker(config, plan, endpoint)
         worker.setup(forcing)
         setup_halo = endpoint.tag_words_sent["halo"]
         steps = []
@@ -493,8 +432,6 @@ def run_work_unit(
     n_ranks=None,
     rtol=None,
     max_iters=None,
-    bc="dirichlet",
-    mean_zero=False,
     forcing=None,
     collect_fields=False,
 ):
@@ -502,9 +439,9 @@ def run_work_unit(
     on a loopback transport.
 
     With ``rtol`` unset each step runs the configured iteration budget;
-    with ``rtol`` set, steps stop at the relative residual (and raise
-    DivergenceError if the residual stalls first).  If a rank raises, the
-    transport is aborted and that rank's exception is raised here.
+    with ``rtol`` set, a step stops at the relative residual or at the
+    budget, whichever comes first.  If a rank raises, the transport is
+    aborted and that rank's exception is raised here.
     """
     if plan is None:
         plan = partition_elements(config, n_ranks or 1)
@@ -512,8 +449,7 @@ def run_work_unit(
 
     def run_rank(ep):
         return _rank_main(
-            config, plan, ep, rtol, max_iters, bc,
-            mean_zero, forcing, collect_fields,
+            config, plan, ep, rtol, max_iters, forcing, collect_fields
         )
 
     # Rank 0 runs on the calling thread and ranks 1..P-1 on the pool (which

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from semperf.kernel import ElementField
+
 
 class CountingTally:
     def __init__(self):
@@ -21,6 +23,13 @@ class CountingTally:
     @property
     def total(self):
         return self.additions + self.multiplications + self.divisions
+
+
+def field_from_callable(fn, bases, index=(0, 0, 0)):
+    """Sample fn(x, y, z) on the reference grid of one basis or three."""
+    bx, by, bz = bases if isinstance(bases, tuple) else (bases,) * 3
+    z, y, x = np.meshgrid(bz.nodes, by.nodes, bx.nodes, indexing="ij")
+    return ElementField.from_grid(index, fn(x, y, z))
 
 
 def ref_tensor_derivative(grid, diff_matrix, axis):

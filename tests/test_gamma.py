@@ -11,11 +11,9 @@ from semperf.gamma import (
     TimeDecomposition,
     analyze_usage_histogram,
     calibrate,
-    efficiency,
     gamma_from_efficiency,
     gamma_from_times,
     normalize_node_usage,
-    predict_speedup,
     predict_time,
 )
 from semperf.partition import AppProfile
@@ -25,22 +23,10 @@ from reference import ref_histogram_tally
 
 
 class TestSpeedupAndEfficiency:
-    def test_saturated_gamma_gives_ideal_speedup(self):
-        assert predict_speedup(16, math.inf) == 16.0
-
-    def test_gamma_one_halves_the_machine(self):
-        assert predict_speedup(8, 1.0) == pytest.approx(4.0)
-
     def test_measured_strong_scaling_point(self):
         # E = 0.70 at P=32 corresponds to Gamma = 7/3
         gamma = gamma_from_efficiency(0.70)
         assert gamma == pytest.approx(7.0 / 3.0, abs=1e-12)
-        assert predict_speedup(32, gamma) == pytest.approx(22.4, abs=1e-9)
-
-    def test_efficiency_values(self):
-        assert efficiency(1.0) == pytest.approx(0.5)
-        assert efficiency(3.81) == pytest.approx(0.792, abs=5e-4)
-        assert efficiency(1.04) == pytest.approx(0.510, abs=5e-4)
 
     def test_gamma_from_efficiency_values(self):
         assert gamma_from_efficiency(0.5) == pytest.approx(1.0)
@@ -51,26 +37,6 @@ class TestSpeedupAndEfficiency:
     def test_gamma_from_efficiency_domain(self, bad):
         with pytest.raises(ValueError):
             gamma_from_efficiency(bad)
-
-    @given(gamma=st.floats(min_value=0.01, max_value=100.0))
-    def test_round_trip(self, gamma):
-        assert gamma_from_efficiency(efficiency(gamma)) == pytest.approx(
-            gamma, rel=1e-12
-        )
-
-    @given(
-        g1=st.floats(min_value=0.01, max_value=50.0),
-        bump=st.floats(min_value=1e-3, max_value=50.0),
-        p=st.integers(min_value=1, max_value=4096),
-    )
-    def test_monotonicity_and_bounds(self, g1, bump, p):
-        g2 = g1 + bump
-        assert efficiency(g2) > efficiency(g1)
-        assert predict_speedup(p, g2) > predict_speedup(p, g1)
-        assert predict_speedup(p + 1, g1) > predict_speedup(p, g1)
-        s = predict_speedup(p, g1)
-        assert s <= p
-        assert s / p == pytest.approx(efficiency(g1), rel=1e-12)
 
 
 class TestGammaFromTimes:

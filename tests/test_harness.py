@@ -68,6 +68,10 @@ class TestStrongScalingSimulated:
             assert rec.speedup == pytest.approx(
                 rec.n_ranks * rec.efficiency, rel=1e-12
             )
+            # E = 1 / (1 + 1/Gamma); Gamma = inf at P=1 gives E = 1
+            assert rec.efficiency == pytest.approx(
+                1 / (1 + 1 / rec.gamma), rel=1e-12
+            )
             step = rec.steps[0]
             assert step.walltime == pytest.approx(
                 step.t_p + step.t_c + step.t_l, rel=1e-12
@@ -229,6 +233,20 @@ class TestExecutedMode:
             predicted = words_per_step(plan, case, case.cg_iters_per_step)
             assert rec.steps[0].halo_words_sent == predicted
             assert rec.steps[0].walltime > 0
+            assert rec.warnings == ()
+
+    def test_early_stop_is_warned(self, machines):
+        # CG converges exactly long before this budget and stops on rho == 0
+        case = CaseConfig(
+            elements=(2, 2, 2), degrees=(4, 4, 4), cg_iters_per_step=2000
+        )
+        spec = strong_spec(machines, mode="exec", p_list=(2,), case=case)
+        (rec,) = run_strong_scaling(spec)
+        iters = rec.steps[0].iterations
+        assert iters < 2000
+        assert rec.warnings == (
+            f"step 0 stopped early: {iters} of 2000 CG iterations",
+        )
 
     def test_efficiency_derived_from_baseline(self, machines):
         spec = strong_spec(

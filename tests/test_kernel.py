@@ -15,11 +15,14 @@ from semperf.kernel import (
     ElementOperator,
     FlopCounter,
     apply_element_laplacian,
-    field_from_callable,
     tensor_derivative,
 )
 
-from reference import ref_element_laplacian, ref_tensor_derivative
+from reference import (
+    field_from_callable,
+    ref_element_laplacian,
+    ref_tensor_derivative,
+)
 
 
 class TestCaseConfig:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -18,6 +19,12 @@ from reference import ref_cut_faces
 
 def cfg(elements, degrees=(8, 8, 8), n_fields=1):
     return CaseConfig(elements=elements, degrees=degrees, n_fields=n_fields)
+
+
+def elements_of(plan, rank):
+    """(i, j, k) of every element in the rank's block."""
+    ranges = (range(start, stop) for start, stop in plan.block_of(rank))
+    return list(itertools.product(*ranges))
 
 
 class TestPartitionElements:
@@ -55,7 +62,7 @@ class TestPartitionElements:
     def test_every_rank_owns_at_least_one_element(self):
         plan = partition_elements(cfg((5, 3, 2)), 6)
         for rank in range(6):
-            assert len(plan.elements_of(rank)) >= 1
+            assert len(elements_of(plan, rank)) >= 1
 
     @given(
         ex=st.integers(1, 6),
@@ -73,7 +80,7 @@ class TestPartitionElements:
             plan = partition_elements(config, p)
         except ValueError:
             return  # no Cartesian factorization fits
-        owned = [tuple(e) for r in range(p) for e in plan.elements_of(r)]
+        owned = [e for r in range(p) for e in elements_of(plan, r)]
         assert len(owned) == ex * ey * ez
         assert len(set(owned)) == len(owned)
         for i, j, k in owned:

@@ -28,3 +28,49 @@ def test_traced_predict_hits_the_model_hooks(tmp_path):
     sums = json.loads(Path(f"{prefix}.sums.json").read_text())["sums"]
     assert sums["gamma.predict_time|calls"] == 1
     assert sums["partition.partition_elements|calls"] == 1
+
+
+# Traces one executed work unit (2^3 elements, N=4, 3 iterations, P=2).
+EXEC_TRACE_SCRIPT = """
+import json, sys
+from spans import Tracer, install
+from semperf.kernel import CaseConfig
+from semperf.solver import run_work_unit
+
+tracer = Tracer()
+install(tracer)
+case = CaseConfig(elements=(2, 2, 2), degrees=(4, 4, 4), cg_iters_per_step=3)
+run_work_unit(case, n_ranks=2)
+tracer.dump(sys.argv[1])
+json.dump(tracer.sums(), sys.stdout)
+"""
+
+
+def test_traced_work_unit_hits_the_executed_hooks(tmp_path):
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(
+            [str(REPO / "src"), str(REPO / "perfbench")]
+        ),
+    }
+    spans_path = tmp_path / "spans.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-c", EXEC_TRACE_SCRIPT, str(spans_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    sums = json.loads(proc.stdout)
+    # RankWorker.__init__ and RankWorker.setup, once per rank
+    assert sums["solver.setup|calls"] == 4
+    assert sums["solver.run_step|calls"] == 2
+    for name in ("solver.dssum", "solver.matvec", "kernel.apply_grid",
+                 "transport.send", "transport.receive", "transport.barrier",
+                 "transport.allreduce_sum"):
+        assert sums[f"{name}|calls"] > 0, name
+    header, *rows = (json.loads(line) for line in spans_path.open())
+    spans = [dict(zip(header, row)) for row in rows]
+    setup_ranks = {s["rank"] for s in spans if s["name"] == "solver.setup"}
+    assert setup_ranks == {0, 1}
