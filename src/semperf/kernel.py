@@ -15,6 +15,10 @@ from .basis import SpectralBasis
 
 WORD_BYTES = 8
 MEGA = 1_000_000
+# Bytes of each of the operator's two scratch arrays, and so of the element
+# blocks it works through: at N=8 (729 points) a block is 44 elements, and
+# its input, output and both scratch arrays (about 1 MB) stay in a 2 MB L2.
+BLOCK_BYTES = 256 * 1024
 
 _AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
 
@@ -207,32 +211,83 @@ class ElementOperator:
                 (swx.reshape(nz * ny, nx), swy, swz.reshape(nz, ny * nx)),
             )
         )
+        # element views of an operand as the x, y and z products see it
+        self._views = ((-1, nz * ny, nx), (-1, nz, ny, nx), (-1, nz, ny * nx))
+        # two block-sized scratch arrays, t in all three views and u in the
+        # y and z views
+        block = max(1, BLOCK_BYTES // (WORD_BYTES * nx * ny * nz))
+        t, u = np.empty((2, block * nx * ny * nz))
+        self._scratch = (
+            *(t.reshape(v) for v in self._views),
+            *(u.reshape(v) for v in self._views[1:]),
+        )
         # counted adds and muls per grid point of one application
         per_axis = 2 * (nx + ny + nz)
         self._adds_per_point = per_axis + 2
         self._muls_per_point = per_axis + 3
 
-    def apply_grid(self, grid, counter=None):
+    def apply_grid(self, grid, counter=None, out=None):
         """Apply the operator; grid may carry leading batch axes.
 
-        Each direction is two batched matmuls with no axis moves: x acts
-        on every element's (nz*ny, nx) view from the right, y on every
-        (ny, nx) plane from the left, z on every element's (nz, ny*nx) view
-        from the left.  Each product is a stack of per-element matrices,
-        small enough that BLAS runs it on the calling thread.
+        Every leading index is one element.  The elements are taken in
+        blocks that fill one ``BLOCK_BYTES`` scratch array, so a block's
+        input, output and the operator's two scratch arrays stay in a
+        core's L2 cache.  Per block, each direction is a derivative, a
+        weight scaling and a transposed derivative, as batched matmuls with
+        no axis moves: x acts on every element's (nz*ny, nx) view from the
+        right, y on every (ny, nx) plane from the left, z on every
+        element's (nz, ny*nx) view from the left.  Each product is a stack
+        of per-element matrices, small enough that BLAS runs it on the
+        calling thread.  The x term is written into the output and the y
+        and z terms are added to it in that order, so the result does not
+        depend on the blocking.
+
+        ``out``, if given, must be a C-contiguous float64 array of grid's
+        shape that shares no memory with grid (``ValueError`` otherwise);
+        it is overwritten and returned.  Without it a new array is
+        returned.  The scratch arrays belong to the operator, so one
+        operator serves one thread at a time.
         """
+        if grid.shape[-3:] != self.shape[::-1]:
+            raise ValueError(
+                f"grid {grid.shape} does not end in the element grid "
+                f"{self.shape[::-1]}"
+            )
+        if out is None:
+            out = np.empty(grid.shape)
+        elif (
+            out.shape != grid.shape
+            or out.dtype != np.float64
+            or not out.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"out must be a C-contiguous float64 array of shape "
+                f"{grid.shape}, got {out.dtype} {out.shape}"
+            )
+        elif np.may_share_memory(out, grid):
+            raise ValueError("out must not share memory with grid")
         (dx, dxt, swx), (dy, dyt, swy), (dz, dzt, swz) = self._passes
-        lead = grid.shape[:-3]
-        nz, ny, nx = grid.shape[-3:]
-        t = grid.reshape(*lead, nz * ny, nx) @ dxt
-        t *= swx
-        out = (t @ dx).reshape(grid.shape)
-        t = dy @ grid
-        t *= swy
-        out += dyt @ t
-        t = dz @ grid.reshape(*lead, nz, ny * nx)
-        t *= swz
-        out += (dzt @ t).reshape(grid.shape)
+        vx, vy, vz = self._views
+        gx, gy, gz = grid.reshape(vx), grid.reshape(vy), grid.reshape(vz)
+        ox, oy, oz = out.reshape(vx), out.reshape(vy), out.reshape(vz)
+        tx, ty, tz, uy, uz = self._scratch
+        block = len(tx)
+        n_el = len(gx)
+        for lo in range(0, n_el, block):
+            b = min(block, n_el - lo)
+            el = slice(lo, lo + b)
+            t = tx[:b]
+            np.matmul(gx[el], dxt, out=t)
+            t *= swx
+            np.matmul(t, dx, out=ox[el])
+            t, u, o = ty[:b], uy[:b], oy[el]
+            np.matmul(dy, gy[el], out=t)
+            t *= swy
+            o += np.matmul(dyt, t, out=u)
+            t, u, o = tz[:b], uz[:b], oz[el]
+            np.matmul(dz, gz[el], out=t)
+            t *= swz
+            o += np.matmul(dzt, t, out=u)
         if counter is not None:
             npts = grid.size
             counter.count(

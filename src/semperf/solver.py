@@ -146,6 +146,8 @@ class RankWorker:
         cx, cy, cz = self.counts
         f = config.n_fields
         self._arr_shape = (cz, cy, cx, f, nz, ny, nx)
+        # matvec's output, reused: run_step reads q only until the next matvec
+        self._q = np.empty(self._arr_shape)
         # per axis: (minus_rank, plus_rank), the owners of the elements just
         # outside the block's faces, or None at the box boundary
         corner = [start for start, _ in self.block]
@@ -280,7 +282,7 @@ class RankWorker:
         return allreduce_sum(self.endpoint, np.array(partials))
 
     def matvec(self, p):
-        q = self.op.apply_grid(p, counter=self.counter)
+        q = self.op.apply_grid(p, counter=self.counter, out=self._q)
         self.dssum(q)
         q *= self.mask
         return q

@@ -86,6 +86,28 @@ def ref_element_laplacian(grid, bases, extents):
     return out, tally
 
 
+def reference_apply_grid(op, grid):
+    """ElementOperator.apply_grid on the whole batch at once, unblocked.
+
+    The same six products per element in the same order, each over every
+    element in one batched matmul with fresh temporaries: the blocked
+    operator must reproduce it bit for bit.
+    """
+    (dx, dxt, swx), (dy, dyt, swy), (dz, dzt, swz) = op._passes
+    lead = grid.shape[:-3]
+    nz, ny, nx = grid.shape[-3:]
+    t = grid.reshape(*lead, nz * ny, nx) @ dxt
+    t *= swx
+    out = (t @ dx).reshape(grid.shape)
+    t = dy @ grid
+    t *= swy
+    out += dyt @ t
+    t = dz @ grid.reshape(*lead, nz, ny * nx)
+    t *= swz
+    out += (dzt @ t).reshape(grid.shape)
+    return out
+
+
 def ref_cut_faces(elements, rank_of):
     """Exhaustive scan of adjacent element pairs landing on different ranks."""
     ex, ey, ez = elements

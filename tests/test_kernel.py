@@ -10,6 +10,8 @@ from hypothesis import given, strategies as st
 
 from semperf.basis import build_gll_basis
 from semperf.kernel import (
+    BLOCK_BYTES,
+    WORD_BYTES,
     CaseConfig,
     ElementField,
     ElementOperator,
@@ -22,6 +24,7 @@ from reference import (
     field_from_callable,
     ref_element_laplacian,
     ref_tensor_derivative,
+    reference_apply_grid,
 )
 
 
@@ -216,6 +219,78 @@ class TestElementLaplacian:
         f = field_from_callable(lambda x, y, z: x * y + z, bases)
         out = apply_element_laplacian(f, bases)
         assert out.values.shape == (3 * 4 * 5,)
+
+
+def block_elements(points_per_element):
+    return BLOCK_BYTES // (WORD_BYTES * points_per_element)
+
+
+class TestBlockedOperator:
+    # (degrees, batch shape): the 8^3, N=8 rank array (at 256 KB, 11
+    # blocks of 44 and a remainder of 28), an exact multiple of the block,
+    # two fields with anisotropic degrees over 2 full blocks and a
+    # remainder, and one bare element
+    CASES = {
+        "fixed-case": ((8, 8, 8), (8, 8, 8, 1)),
+        "whole-blocks": ((8, 8, 8), (2, block_elements(729), 1)),
+        "two-fields": ((2, 3, 4), (7, 9, 11, 2)),
+        "one-element": ((4, 4, 4), ()),
+    }
+
+    @staticmethod
+    def operator_and_grid(degrees, batch):
+        bases = tuple(build_gll_basis(n) for n in degrees)
+        op = ElementOperator(bases, (0.125, 0.25, 0.5))
+        nx, ny, nz = op.shape
+        grid = np.random.default_rng(5).standard_normal((*batch, nz, ny, nx))
+        return op, grid
+
+    def test_cases_cover_full_blocks_and_a_remainder(self):
+        for n_el, points in ((512, 729), (7 * 9 * 11 * 2, 60)):
+            assert n_el // block_elements(points) >= 2
+            assert n_el % block_elements(points) > 0
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_unblocked_reference_bitwise(self, case):
+        op, grid = self.operator_and_grid(*self.CASES[case])
+        before = grid.copy()
+        expected = reference_apply_grid(op, grid).tobytes()
+        out = np.full_like(grid, np.nan)
+        assert op.apply_grid(grid, out=out) is out
+        assert out.tobytes() == expected
+        assert op.apply_grid(grid).tobytes() == expected
+        assert grid.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize(
+        "make_out",
+        [
+            pytest.param(lambda g: np.empty(g.shape[1:]), id="shape"),
+            pytest.param(lambda g: np.empty(g.shape, np.float32), id="dtype"),
+            pytest.param(
+                lambda g: np.empty((*g.shape[:-1], 2 * g.shape[-1]))[..., ::2],
+                id="strided",
+            ),
+        ],
+    )
+    def test_out_of_the_wrong_layout_rejected(self, make_out):
+        op, grid = self.operator_and_grid((4, 4, 4), (3, 1))
+        with pytest.raises(ValueError, match="out must be"):
+            op.apply_grid(grid, out=make_out(grid))
+
+    def test_grid_of_other_elements_rejected(self):
+        op, _ = self.operator_and_grid((4, 4, 4), ())
+        # as many points as two elements, in a shape of another element
+        with pytest.raises(ValueError, match="element grid"):
+            op.apply_grid(np.zeros((10, 5, 5)))
+
+    # out is grid itself (offset 0) or overlaps two of its three elements
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_out_sharing_memory_with_grid_rejected(self, offset):
+        op, _ = self.operator_and_grid((4, 4, 4), ())
+        buf = np.random.default_rng(6).standard_normal((4, 1, 5, 5, 5))
+        grid, out = buf[:3], buf[offset:offset + 3]
+        with pytest.raises(ValueError, match="share memory"):
+            op.apply_grid(grid, out=out)
 
 
 # Times 20 applications of the fixed case (8^3 elements, N=8) with the BLAS

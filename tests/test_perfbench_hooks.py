@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from semperf.kernel import CaseConfig, laplacian_flops
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -46,23 +48,28 @@ json.dump(tracer.sums(), sys.stdout)
 """
 
 
-def test_traced_work_unit_hits_the_executed_hooks(tmp_path):
+def run_traced_script(script, *args):
+    """Run script with the package and the tracer importable; its sums."""
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join(
             [str(REPO / "src"), str(REPO / "perfbench")]
         ),
     }
-    spans_path = tmp_path / "spans.jsonl"
     proc = subprocess.run(
-        [sys.executable, "-c", EXEC_TRACE_SCRIPT, str(spans_path)],
+        [sys.executable, "-c", script, *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    sums = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_traced_work_unit_hits_the_executed_hooks(tmp_path):
+    spans_path = tmp_path / "spans.jsonl"
+    sums = run_traced_script(EXEC_TRACE_SCRIPT, str(spans_path))
     # RankWorker.__init__ and RankWorker.setup, once per rank
     assert sums["solver.setup|calls"] == 4
     assert sums["solver.run_step|calls"] == 2
@@ -74,3 +81,35 @@ def test_traced_work_unit_hits_the_executed_hooks(tmp_path):
     spans = [dict(zip(header, row)) for row in rows]
     setup_ranks = {s["rank"] for s in spans if s["name"] == "solver.setup"}
     assert setup_ranks == {0, 1}
+
+
+# Traces one P=1 work unit (2^3 elements, N=4, 3 iterations).
+KERNEL_TRACE_SCRIPT = """
+import json, sys
+from spans import Tracer, install
+from semperf.kernel import CaseConfig
+from semperf.solver import run_work_unit
+
+tracer = Tracer()
+install(tracer)
+case = CaseConfig(elements=(2, 2, 2), degrees=(4, 4, 4), cg_iters_per_step=3)
+run_work_unit(case, n_ranks=1)
+json.dump(tracer.sums(), sys.stdout)
+"""
+
+
+def test_traced_kernel_reports_operator_flops_and_bytes():
+    # the tracer reads the counter passed by keyword, grid as argument 1
+    # and the returned array, whatever buffer the operator writes into
+    case = CaseConfig(
+        elements=(2, 2, 2), degrees=(4, 4, 4), cg_iters_per_step=3
+    )
+    sums = run_traced_script(KERNEL_TRACE_SCRIPT)
+    calls = sums["kernel.apply_grid|step_calls"]
+    assert calls == case.cg_iters_per_step
+    array_size = case.n_elements * case.points_per_element
+    assert sums["kernel.apply_grid|step_flops"] == (
+        calls * case.n_elements * laplacian_flops((5, 5, 5))
+    )
+    # 8 bytes per point read from grid and 8 per point of the result
+    assert sums["kernel.apply_grid|step_bytes"] == calls * 16 * array_size

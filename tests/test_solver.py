@@ -24,7 +24,7 @@ from semperf.solver import (
 )
 from semperf.transport import loopback_transport
 
-from reference import ref_cg_step
+from reference import ref_cg_step, reference_apply_grid
 
 
 def small_case(**overrides):
@@ -173,6 +173,21 @@ class TestGatherScatter:
             lo = np.take(grids[a], -1, axis=node_axis[axis])
             hi = np.take(grids[b], 0, axis=node_axis[axis])
             assert lo.tobytes() == hi.tobytes()
+
+
+class TestMatvec:
+    def test_reuses_one_output_buffer_with_unchanged_bits(self):
+        config = small_case(elements=(3, 2, 2), degrees=(4, 3, 5), n_fields=2)
+        (endpoint,) = loopback_transport(1)
+        worker = RankWorker(config, partition_elements(config, 1), endpoint)
+        rng = np.random.default_rng(13)
+        first, second = rng.standard_normal((2, *worker._arr_shape))
+        q = worker.matvec(first)
+        first_bytes = q.tobytes()
+        assert worker.matvec(second) is q
+        for p, got in ((first, first_bytes), (second, q.tobytes())):
+            expected = worker.dssum(reference_apply_grid(worker.op, p))
+            assert got == (expected * worker.mask).tobytes()
 
 
 class TestDotPartial:
