@@ -37,7 +37,6 @@ from .kernel import (
 from .partition import (
     AppProfile,
     PartitionPlan,
-    compute_gamma_a,
     partition_elements,
     words_per_step,
 )

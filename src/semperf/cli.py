@@ -86,6 +86,8 @@ class ToolConfig:
                 raise InputError(f"bad case {name!r}: {exc}") from exc
         campaigns = raw.get("campaigns", {})
         for cname, cdef in campaigns.items():
+            if not isinstance(cdef, dict):
+                raise InputError(f"campaign {cname!r} is not a JSON object")
             case_name = cdef.get("case")
             if case_name not in cases:
                 raise InputError(
@@ -97,13 +99,21 @@ class ToolConfig:
                     f"campaign {cname!r} references unknown machine "
                     f"{machine_name!r}"
                 )
+        formats = raw.get("formats", ["json", "csv"])
+        if not (
+            isinstance(formats, list)
+            and all(f in ("json", "csv") for f in formats)
+        ):
+            raise InputError(
+                f"formats must be a list of json and csv (got {formats!r})"
+            )
         output_dir = Path(raw.get("output_dir", "semperf-out"))
         return cls(
             machines=machines,
             cases=cases,
             campaigns=campaigns,
             output_dir=output_dir,
-            formats=tuple(raw.get("formats", ("json", "csv"))),
+            formats=tuple(formats),
             version=raw["version"],
         )
 
@@ -173,7 +183,7 @@ def cmd_bench(args):
     out_dir = config.ensure_output_dir(args.out)
     try:
         spec = _campaign_spec(config, args.campaign, args.mode, args.seed)
-    except (ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError) as exc:
         raise InputError(
             f"campaign {args.campaign!r} is malformed: {exc}"
         ) from exc
@@ -225,13 +235,16 @@ def cmd_predict(args):
             f"(have: {', '.join(sorted(machines))})"
         )
     machine = machines[args.machine]
-    case = CaseConfig(
-        elements=tuple(args.elements),
-        degrees=tuple(args.degrees),
-        n_fields=args.n_fields,
-        cg_iters_per_step=args.iters,
-    )
-    rec = model_point(case, machine, args.ranks)
+    try:
+        case = CaseConfig(
+            elements=tuple(args.elements),
+            degrees=tuple(args.degrees),
+            n_fields=args.n_fields,
+            cg_iters_per_step=args.iters,
+        )
+        rec = model_point(case, machine, args.ranks)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     step = rec.steps[0]
     result = {
         "machine": machine.name,

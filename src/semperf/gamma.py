@@ -219,11 +219,34 @@ def _duplicate_rows(inputs):
     return dupes
 
 
-def _solve_exact(inputs, base_bandwidth):
-    # Unknowns (W, V, T_L) with V = W / alpha: every equation
-    # W / b_eff + T_L = T_P / Gamma becomes linear.
+def calibrate(inputs, base_bandwidth):
+    """Fit (W, alpha, T_L) to measured (T_P, Gamma) points.
+
+    With V = W / alpha every row's W / b_eff + T_L = T_P / Gamma is linear
+    in (W, V, T_L), so one linear least-squares fit solves any table of 3
+    or more rows: exactly for 3 independent rows, in the least-squares
+    sense for more.  A table that does not determine all three unknowns,
+    or whose fit is not physical, raises CalibrationDegenerateError.  W is
+    returned in MB for the given base bandwidth in MB/s.
+    """
+    if not (math.isfinite(base_bandwidth) and base_bandwidth > 0):
+        raise ValueError("base_bandwidth must be finite and positive")
+    inputs = list(inputs)
+    names = [r.name for r in inputs]
+    if len(inputs) < 3:
+        raise CalibrationDegenerateError(
+            f"need at least 3 inputs, got {len(inputs)}", inputs=names
+        )
+    models = {row.bandwidth_model for row in inputs}
+    if len(models) < 2:
+        raise CalibrationDegenerateError(
+            f"inputs span a single bandwidth model {models.pop()!r}; "
+            "alpha cannot be identified",
+            inputs=names,
+        )
+    # columns (W, V, T_L): W / b_eff is W / b1 on a base row, V / b1 on a
+    # scaled one and V * sharing / b1 on a shared one
     rows = []
-    rhs = []
     for row in inputs:
         if row.bandwidth_model == "base":
             rows.append([1.0 / base_bandwidth, 0.0, 1.0])
@@ -231,9 +254,10 @@ def _solve_exact(inputs, base_bandwidth):
             rows.append([0.0, 1.0 / base_bandwidth, 1.0])
         else:
             rows.append([0.0, row.sharing / base_bandwidth, 1.0])
-        rhs.append(row.t_p / row.gamma)
     matrix = np.array(rows)
-    if abs(np.linalg.det(matrix)) < 1e-12:
+    rhs = np.array([row.t_p / row.gamma for row in inputs])
+    (w, v, t_l), _, rank, _ = np.linalg.lstsq(matrix, rhs, rcond=None)
+    if rank < 3:
         dupes = _duplicate_rows(inputs)
         detail = (
             f"duplicates: {', '.join(dupes)}"
@@ -241,82 +265,16 @@ def _solve_exact(inputs, base_bandwidth):
             else "rows do not span the three unknowns"
         )
         raise CalibrationDegenerateError(
-            f"calibration system is singular ({detail})",
-            inputs=[r.name for r in inputs],
+            f"calibration system is singular ({detail})", inputs=names
         )
-    w, v, t_l = np.linalg.solve(matrix, np.array(rhs))
-    return w, v, t_l
-
-
-def _solve_least_squares(inputs, base_bandwidth):
-    # Imported here, not at module level: scipy.optimize costs every
-    # process that imports semperf about 0.5 s of CPU, and only a fit of
-    # 4 or more rows uses it.
-    from scipy.optimize import minimize_scalar
-
-    # For a fixed alpha the residuals are linear in (W, T_L); scan alpha.
-    c = np.array([row.t_p / row.gamma for row in inputs])
-
-    def solve_wtl(alpha):
-        a = np.array(
-            [
-                [1.0 / row.effective_bandwidth(base_bandwidth, alpha), 1.0]
-                for row in inputs
-            ]
-        )
-        sol, _, rank, _ = np.linalg.lstsq(a, c, rcond=None)
-        if rank < 2:
-            raise CalibrationDegenerateError(
-                "bandwidth columns are collinear; cannot separate W from T_L",
-                inputs=[r.name for r in inputs],
-            )
-        resid = a @ sol - c
-        return sol, float(resid @ resid)
-
-    result = minimize_scalar(
-        lambda a: solve_wtl(a)[1],
-        bounds=(1.0, 100.0),
-        method="bounded",
-        options={"xatol": 1e-9},
-    )
-    alpha = float(result.x)
-    (w, t_l), _ = solve_wtl(alpha)
-    return w, w / alpha, t_l, alpha
-
-
-def calibrate(inputs, base_bandwidth):
-    """Fit (W, alpha, T_L) to measured (T_P, Gamma) points.
-
-    Three inputs are solved in closed form; more are fit by least squares
-    with a bounded 1-D search over alpha.  W is returned in MB for the
-    given base bandwidth in MB/s.
-    """
-    if not (math.isfinite(base_bandwidth) and base_bandwidth > 0):
-        raise ValueError("base_bandwidth must be finite and positive")
-    inputs = list(inputs)
-    if len(inputs) < 3:
-        raise CalibrationDegenerateError(
-            f"need at least 3 inputs, got {len(inputs)}",
-            inputs=[r.name for r in inputs],
-        )
-    models = {row.bandwidth_model for row in inputs}
-    if len(models) < 2:
-        raise CalibrationDegenerateError(
-            f"inputs span a single bandwidth model {models.pop()!r}; "
-            "alpha cannot be identified",
-            inputs=[r.name for r in inputs],
-        )
-    if len(inputs) == 3:
-        w, v, t_l = _solve_exact(inputs, base_bandwidth)
-        alpha = w / v if v != 0 else math.inf
-    else:
-        w, v, t_l, alpha = _solve_least_squares(inputs, base_bandwidth)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = w / v  # inf or NaN when V = 0, rejected below
     # written so that a NaN fails every comparison and is rejected
-    if not (w > 0 and alpha > 0 and t_l >= -1e-9):
+    if not (w > 0 and 0 < alpha < math.inf and t_l >= -1e-9):
         raise CalibrationDegenerateError(
             f"calibration produced infeasible parameters "
             f"(W={w:.4g} MB, alpha={alpha:.4g}, T_L={t_l:.4g} s)",
-            inputs=[r.name for r in inputs],
+            inputs=names,
         )
     t_l = max(t_l, 0.0)
     return GammaFit(
@@ -325,7 +283,7 @@ def calibrate(inputs, base_bandwidth):
         t_l=float(t_l),
         base_bandwidth=float(base_bandwidth),
         residuals=_fit_residuals(inputs, base_bandwidth, w, alpha, t_l),
-        input_names=tuple(row.name for row in inputs),
+        input_names=tuple(names),
     )
 
 

@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,6 +50,15 @@ class CampaignSpec:
             raise ValueError(f"unknown campaign kind {self.kind!r}")
         if self.mode not in ("sim", "exec"):
             raise ValueError(f"mode must be sim or exec (got {self.mode!r})")
+        for p in (*self.p_list, *(p for _, p in self.weak_scales)):
+            if not (
+                isinstance(p, numbers.Integral)
+                and not isinstance(p, bool)
+                and p >= 1
+            ):
+                raise ValueError(
+                    f"rank counts must be integers >= 1 (got {p!r})"
+                )
         if self.kind == "strong" and not self.p_list:
             raise ValueError("strong scaling needs a p_list")
         if self.kind == "weak":
@@ -69,8 +79,12 @@ class CampaignSpec:
             if len(self.p_list) != 1:
                 raise ValueError("degree sweep runs at a single P")
         if self.kind == "time_budget":
-            if self.budget_s <= 0:
-                raise ValueError("time budget must be positive")
+            # written so that a NaN fails every comparison and is rejected
+            for name in ("budget_s", "window_s"):
+                if not 0 < getattr(self, name) < math.inf:
+                    raise ValueError(f"{name} must be finite and positive")
+            if not 0 <= self.jitter < math.inf:
+                raise ValueError("jitter must be finite and >= 0")
             if len(self.p_list) != 1:
                 raise ValueError("time budget runs at a single P")
             if self.mode != "sim":
@@ -199,7 +213,7 @@ def model_point(case, machine, n_ranks, seed=0):
         case=case,
         n_ranks=n_ranks,
         rank_grid=plan.rank_grid,
-        cut_face_count=len(plan.cut_faces),
+        cut_face_count=sum(plan.cut_face_counts),
         steps=(step,) * case.steps,
         gamma=gamma_from_times(td),
         efficiency=eff,
@@ -224,7 +238,7 @@ def _executed_point(case, machine, n_ranks, seed=0):
         case=case,
         n_ranks=n_ranks,
         rank_grid=plan.rank_grid,
-        cut_face_count=len(plan.cut_faces),
+        cut_face_count=sum(plan.cut_face_counts),
         steps=report.steps,
         warnings=warnings,
         seed=seed,

@@ -8,8 +8,7 @@ contribution to the shared face), and edge/corner values ride inside the
 face exchanges of their adjacent faces.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import OverDecompositionError
 
@@ -42,49 +41,64 @@ def _factorizations(p, limits):
     return out
 
 
+def cut_face_counts(rank_grid, elements):
+    """Element faces cut by a rank grid, per normal axis.
+
+    Each of the p_a - 1 internal block boundaries along axis a cuts every
+    element face of the grid's cross-section normal to a.
+    """
+    (px, py, pz), (ex, ey, ez) = rank_grid, elements
+    return ((px - 1) * ey * ez, (py - 1) * ex * ez, (pz - 1) * ex * ey)
+
+
 @dataclass(frozen=True)
 class PartitionPlan:
-    """Element-to-rank assignment plus the list of inter-rank cut faces."""
+    """Element-to-rank assignment: a Cartesian grid of element blocks."""
 
     n_ranks: int
     elements: tuple
     rank_grid: tuple  # blocks per direction (px, py, pz)
     block_ranges: tuple  # per direction: tuple of (start, stop) chunks
-    cut_faces: tuple = field(repr=False)  # (axis, (i, j, k), rank_minus, rank_plus)
 
-    def rank_of(self, i, j, k):
+    def _block_coords(self, rank):
         px, py, _ = self.rank_grid
-        bx = _block_index(self.block_ranges[0], i)
-        by = _block_index(self.block_ranges[1], j)
-        bz = _block_index(self.block_ranges[2], k)
-        return bx + px * (by + py * bz)
+        return (rank % px, (rank // px) % py, rank // (px * py))
 
     def block_of(self, rank):
+        return tuple(
+            ranges[b]
+            for ranges, b in zip(self.block_ranges, self._block_coords(rank))
+        )
+
+    def neighbors(self, rank):
+        """Per axis, the (minus, plus) face-neighbor ranks of a rank's block.
+
+        None stands for the box boundary on that side.
+        """
         px, py, _ = self.rank_grid
-        bx = rank % px
-        by = (rank // px) % py
-        bz = rank // (px * py)
-        return (
-            self.block_ranges[0][bx],
-            self.block_ranges[1][by],
-            self.block_ranges[2][bz],
+        strides = (1, px, px * py)
+        return tuple(
+            (
+                rank - stride if b > 0 else None,
+                rank + stride if b < p - 1 else None,
+            )
+            for b, p, stride in zip(
+                self._block_coords(rank), self.rank_grid, strides
+            )
         )
 
     @property
-    def neighbor_pairs(self):
-        return sorted({(min(a, b), max(a, b)) for _, _, a, b in self.cut_faces})
+    def cut_face_counts(self):
+        return cut_face_counts(self.rank_grid, self.elements)
 
     @property
     def messages_per_exchange(self):
-        """Halo messages per gather-scatter: one each way per adjacent pair."""
-        return 2 * len(self.neighbor_pairs)
+        """Halo messages per gather-scatter: one each way per adjacent pair.
 
-
-def _block_index(ranges, idx):
-    for b, (start, stop) in enumerate(ranges):
-        if start <= idx < stop:
-            return b
-    raise IndexError(f"element index {idx} outside grid")
+        Along axis a, P / p_a rows of p_a blocks hold p_a - 1 adjacent
+        pairs each.
+        """
+        return 2 * sum((p - 1) * self.n_ranks // p for p in self.rank_grid)
 
 
 def partition_elements(config, n_ranks):
@@ -104,44 +118,18 @@ def partition_elements(config, n_ranks):
             f"no Cartesian factorization of {n_ranks} ranks fits the "
             f"{ex}x{ey}x{ez} element grid"
         )
-
-    def cut_area(p):
-        px, py, pz = p
-        return (px - 1) * ey * ez + (py - 1) * ex * ez + (pz - 1) * ex * ey
-
     # minimal cut area; ties broken toward larger pz, then larger py
-    best = min(candidates, key=lambda p: (cut_area(p), -p[2], -p[1]))
-    ranges = (
-        tuple(_chunk_ranges(ex, best[0])),
-        tuple(_chunk_ranges(ey, best[1])),
-        tuple(_chunk_ranges(ez, best[2])),
+    best = min(
+        candidates,
+        key=lambda p: (sum(cut_face_counts(p, (ex, ey, ez))), -p[2], -p[1]),
     )
-    plan = PartitionPlan(
-        n_ranks=n_ranks,
-        elements=(ex, ey, ez),
-        rank_grid=best,
-        block_ranges=ranges,
-        cut_faces=(),
-    )
-    faces = []
-    for k in range(ez):
-        for j in range(ey):
-            for i in range(ex):
-                here = plan.rank_of(i, j, k)
-                for axis, nxt in enumerate(
-                    ((i + 1, j, k), (i, j + 1, k), (i, j, k + 1))
-                ):
-                    if nxt[axis] >= config.elements[axis]:
-                        continue
-                    there = plan.rank_of(*nxt)
-                    if there != here:
-                        faces.append((axis, (i, j, k), here, there))
     return PartitionPlan(
         n_ranks=n_ranks,
         elements=(ex, ey, ez),
         rank_grid=best,
-        block_ranges=ranges,
-        cut_faces=tuple(faces),
+        block_ranges=tuple(
+            tuple(_chunk_ranges(e, p)) for e, p in zip((ex, ey, ez), best)
+        ),
     )
 
 
@@ -154,9 +142,9 @@ def face_points(config, axis):
 
 def words_per_exchange(plan, config):
     """Words on the wire for one gather-scatter (both directions counted)."""
-    return sum(
-        2 * face_points(config, axis) * config.n_fields
-        for axis, _, _, _ in plan.cut_faces
+    return 2 * config.n_fields * sum(
+        n * face_points(config, axis)
+        for axis, n in enumerate(plan.cut_face_counts)
     )
 
 
@@ -167,24 +155,9 @@ def words_per_step(plan, config, exchanges_per_step):
     return exchanges_per_step * words_per_exchange(plan, config)
 
 
-def compute_gamma_a(flops, words):
-    """Application intensity: counted operations per word communicated."""
-    if flops < 0 or words < 0:
-        raise ValueError("flops and words must be non-negative")
-    if words == 0:
-        if flops == 0:
-            raise ValueError("gamma_a undefined: no flops and no words")
-        return math.inf
-    return flops / words
-
-
 @dataclass(frozen=True)
 class AppProfile:
-    """Per-step application profile: work, traffic, and their ratio."""
+    """Per-step application profile: counted work and interface traffic."""
 
     flops_per_step: int
     words_per_step: int
-
-    @property
-    def gamma_a(self):
-        return compute_gamma_a(self.flops_per_step, self.words_per_step)

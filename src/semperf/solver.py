@@ -148,25 +148,13 @@ class RankWorker:
         self._arr_shape = (cz, cy, cx, f, nz, ny, nx)
         # matvec's output, reused: run_step reads q only until the next matvec
         self._q = np.empty(self._arr_shape)
-        # per axis: (minus_rank, plus_rank), the owners of the elements just
-        # outside the block's faces, or None at the box boundary
-        corner = [start for start, _ in self.block]
-        self.neighbors = [
-            tuple(
-                plan.rank_of(*corner[:ax], idx, *corner[ax + 1:])
-                if 0 <= idx < config.elements[ax]
-                else None
-                for idx in (start - 1, stop)
-            )
-            for ax, (start, stop) in enumerate(self.block)
-        ]
 
         # per direction: (minus, plus, lo, hi, left, right), the face
         # neighbors, the block's boundary planes, and the planes of the
         # block's own interior interfaces (None with one element along it)
         ndim = len(self._arr_shape)
         self._halo = []
-        for ax, (minus, plus) in enumerate(self.neighbors):
+        for ax, (minus, plus) in enumerate(plan.neighbors(self.rank)):
             el_ax, node_ax = self._EL_AXIS[ax], self._NODE_AXIS[ax]
             left = right = None
             if self.counts[ax] > 1:

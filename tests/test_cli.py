@@ -17,6 +17,20 @@ pleiades2plus,7.93,1.60,scaled_shared,4
 """
 
 
+def budget_campaign(**extra):
+    return {
+        "kind": "time_budget", "case": "bench8", "machine": "pleiades2-sim",
+        "p_list": [8], "budget_s": 3600, **extra,
+    }
+
+
+def strong_campaign(*p_list):
+    return {
+        "kind": "strong", "case": "bench8", "machine": "pleiades2-sim",
+        "p_list": list(p_list),
+    }
+
+
 @pytest.fixture()
 def config_path(tmp_path):
     path = tmp_path / "semperf.json"
@@ -141,6 +155,55 @@ class TestBench:
         path.write_text("{}", encoding="utf-8")
         assert main(["bench", "x", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "campaign,top",
+        [
+            (budget_campaign(window_s=0), {}),
+            (budget_campaign(window_s=float("nan")), {}),
+            (budget_campaign(budget_s=float("nan")), {}),
+            (budget_campaign(budget_s=float("inf")), {}),
+            (budget_campaign(jitter=-0.5), {}),
+            (budget_campaign(jitter=float("nan")), {}),
+            (budget_campaign(jitter=float("inf")), {}),
+            (strong_campaign("2"), {}),
+            (strong_campaign(2.0), {}),
+            (strong_campaign(1, 0), {}),
+            (strong_campaign(True), {}),
+            (
+                {
+                    "kind": "weak", "case": "bench8",
+                    "machine": "pleiades2-sim",
+                    "scales": [
+                        {"elements": [4, 4, 4], "p": 1},
+                        {"elements": [8, 8, 8], "p": 0},
+                    ],
+                },
+                {},
+            ),
+            ("strong8", {}),
+            (strong_campaign(1, 2), {"formats": "json"}),
+            (strong_campaign(1, 2), {"formats": ["json", "xml"]}),
+        ],
+        ids=[
+            "window_s-zero", "window_s-nan", "budget_s-nan", "budget_s-inf",
+            "jitter-negative", "jitter-nan", "jitter-inf",
+            "p_list-string", "p_list-float",
+            "p_list-zero", "p_list-bool", "scales-p-zero",
+            "campaign-not-an-object", "formats-string", "formats-unknown",
+        ],
+    )
+    def test_malformed_campaign_exits_2_without_output(
+        self, tmp_path, capsys, campaign, top
+    ):
+        cfg = {**example_config_dict(), **top}
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["campaigns"]["bad"] = campaign
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["bench", "bad", "--config", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("bad_*"))
+
 
 class TestPredict:
     def run_predict(self, capsys, *extra):
@@ -207,6 +270,28 @@ class TestPredict:
 
     def test_unknown_machine(self, capsys):
         assert main(["predict", "--machine", "warpdrive"]) == 2
+
+    @pytest.mark.parametrize(
+        "extra,code",
+        [
+            (["-P", "0"], 2),
+            (["--iters", "0"], 2),
+            (["-E", "0", "1", "1"], 2),
+            (["-N", "1", "8", "8"], 2),
+            (["--n-fields", "0"], 2),
+            (["-E", "2", "2", "2", "-P", "5"], 2),  # no factorization fits
+            (["-P", "1000"], 3),  # more ranks than elements
+        ],
+        ids=[
+            "P-zero", "iters-zero", "elements-zero", "degree-one",
+            "n_fields-zero", "no-factorization", "over-decomposed",
+        ],
+    )
+    def test_bad_counts_exit_without_output(self, capsys, extra, code):
+        assert main(["predict", "--machine", "pleiades2", *extra]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err
 
     def test_table_output(self, capsys):
         code = main(["predict", "--machine", "pleiades2", "-P", "4"])
@@ -373,7 +458,7 @@ def test_init_config_writes_valid_example(tmp_path, capsys):
 
 
 class TestFreshInterpreter:
-    """scipy loads only for an over-determined calibration."""
+    """No command imports scipy, not even an over-determined calibration."""
 
     @staticmethod
     def run(*args):
@@ -407,7 +492,16 @@ class TestFreshInterpreter:
             encoding="utf-8",
         )
         artifact = tmp_path / "fit.json"
-        self.run("-m", "semperf", "calibrate", str(table), "--out", str(artifact))
+        script = textwrap.dedent(
+            f"""
+            import sys
+            import semperf.cli
+            argv = ["calibrate", {str(table)!r}, "--out", {str(artifact)!r}]
+            assert semperf.cli.main(argv) == 0
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            """
+        )
+        assert self.run("-c", script).splitlines()[-1] == "[]"
         fit = json.loads(artifact.read_text(encoding="utf-8"))
         assert len(fit["residuals_s"]) == 4
         assert fit["t_l_s"] == pytest.approx(1.0, abs=0.05)

@@ -179,6 +179,15 @@ class TestCalibration:
         assert fit.alpha == pytest.approx(6.5, abs=1e-9)
         assert fit.t_l == pytest.approx(0.8, abs=1e-9)
 
+    def test_sharing_counts_on_shared_rows_only(self):
+        rows = self.synthetic_rows(w=150.0, alpha=6.5, t_l=0.8, b1=10.0)
+        base, scaled, shared = rows
+        scaled = CalibrationInput(
+            scaled.name, scaled.t_p, scaled.gamma, "scaled", sharing=4.0
+        )
+        fit = calibrate([base, scaled, shared], base_bandwidth=10.0)
+        assert fit.alpha == pytest.approx(6.5, abs=1e-9)
+
     def test_overdetermined_recovers_synthetic(self):
         rows = self.synthetic_rows(w=80.0, alpha=4.0, t_l=0.5, b1=12.0)
         extra = self.synthetic_rows(w=80.0, alpha=4.0, t_l=0.5, b1=12.0,
@@ -228,6 +237,26 @@ class TestCalibration:
         with pytest.raises(CalibrationDegenerateError) as err:
             calibrate(rows, base_bandwidth=12.0)
         assert "b/c" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "models,duplicates",
+        [
+            (("base", "base", "scaled", "scaled"), ("a/b", "c/d")),
+            (("base", "scaled", "scaled", "scaled"), ("b/c", "b/d")),
+        ],
+    )
+    def test_rank_deficient_four_rows_rejected(self, models, duplicates):
+        rows = [
+            CalibrationInput(name, t_p, gamma, model)
+            for name, t_p, gamma, model in zip(
+                "abcd", (13.58, 12.9, 7.56, 7.93), (1.44, 1.51, 3.81, 3.6),
+                models,
+            )
+        ]
+        with pytest.raises(CalibrationDegenerateError) as err:
+            calibrate(rows, base_bandwidth=12.0)
+        for pair in duplicates:
+            assert pair in str(err.value)
 
     def test_unknown_bandwidth_model_rejected(self):
         with pytest.raises(ValueError, match="bandwidth model"):

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,8 +6,6 @@ from hypothesis import given, strategies as st
 from semperf.errors import OverDecompositionError
 from semperf.kernel import CaseConfig
 from semperf.partition import (
-    AppProfile,
-    compute_gamma_a,
     partition_elements,
     words_per_exchange,
     words_per_step,
@@ -31,17 +28,18 @@ class TestPartitionElements:
     def test_single_rank_has_no_cuts(self):
         plan = partition_elements(cfg((8, 8, 8)), 1)
         assert plan.rank_grid == (1, 1, 1)
-        assert plan.cut_faces == ()
+        assert plan.cut_face_counts == (0, 0, 0)
+        assert plan.neighbors(0) == ((None, None),) * 3
 
     def test_two_elements_two_ranks(self):
         plan = partition_elements(cfg((2, 1, 1)), 2)
         assert plan.rank_grid == (2, 1, 1)
-        assert len(plan.cut_faces) == 1
+        assert plan.cut_face_counts == (1, 0, 0)
 
     def test_eight_cubed_eight_ranks(self):
         plan = partition_elements(cfg((8, 8, 8)), 8)
         assert plan.rank_grid == (2, 2, 2)
-        assert len(plan.cut_faces) == 192
+        assert plan.cut_face_counts == (64, 64, 64)
 
     @pytest.mark.parametrize(
         "p,expected_grid",
@@ -83,22 +81,39 @@ class TestPartitionElements:
         owned = [e for r in range(p) for e in elements_of(plan, r)]
         assert len(owned) == ex * ey * ez
         assert len(set(owned)) == len(owned)
-        for i, j, k in owned:
-            assert plan.rank_of(i, j, k) is not None
+        owner = {e: r for r in range(p) for e in elements_of(plan, r)}
         for axis_ranges in plan.block_ranges:
             sizes = [stop - start for start, stop in axis_ranges]
             assert max(sizes) - min(sizes) <= 1
-        assert sorted(plan.cut_faces) == sorted(
-            ref_cut_faces((ex, ey, ez), plan.rank_of)
+        faces = ref_cut_faces((ex, ey, ez), lambda *e: owner[e])
+        assert plan.cut_face_counts == tuple(
+            sum(1 for f in faces if f[0] == axis) for axis in range(3)
         )
+        pairs = {(a, b) for _, _, a, b in faces}
+        assert plan.messages_per_exchange == 2 * len(pairs)
+        for rank in range(p):
+            expected = []
+            for axis in range(3):
+                minus = {a for ax, _, a, b in faces if ax == axis and b == rank}
+                plus = {b for ax, _, a, b in faces if ax == axis and a == rank}
+                assert len(minus) <= 1 and len(plus) <= 1
+                expected.append(
+                    (min(minus, default=None), min(plus, default=None))
+                )
+            assert plan.neighbors(rank) == tuple(expected)
 
     def test_cut_faces_connect_distinct_adjacent_ranks(self):
         plan = partition_elements(cfg((4, 4, 4)), 8)
         pairs = set()
-        for _, _, a, b in plan.cut_faces:
-            assert a != b
-            pairs.add((min(a, b), max(a, b)))
-        assert sorted(pairs) == plan.neighbor_pairs
+        for rank in range(8):
+            for axis, (minus, plus) in enumerate(plan.neighbors(rank)):
+                if plus is not None:
+                    assert plus != rank
+                    assert plan.neighbors(plus)[axis][0] == rank
+                    pairs.add((rank, plus))
+        # a 2x2x2 grid of blocks holds 12 adjacent pairs
+        assert len(pairs) == 12
+        assert plan.messages_per_exchange == 2 * len(pairs)
 
 
 class TestWordsPerStep:
@@ -135,22 +150,8 @@ class TestWordsPerStep:
 
 
 class TestGammaA:
-    def test_plain_ratio(self):
-        assert compute_gamma_a(10**9, 10**6) == 1000.0
-
-    def test_saturated_without_communication(self):
-        assert math.isinf(compute_gamma_a(10**6, 0))
-
-    def test_undefined_profile(self):
-        with pytest.raises(ValueError, match="undefined"):
-            compute_gamma_a(0, 0)
-
-    def test_app_profile_property(self):
-        app = AppProfile(flops_per_step=2000, words_per_step=10)
-        assert app.gamma_a == 200.0
-
     def test_surface_to_volume_monotonicity(self):
-        # same P and N on finer meshes: gamma_a never decreases
+        # same P and N on finer meshes: flops per word never decrease
         from semperf.solver import step_flops
 
         previous = 0.0
@@ -159,6 +160,6 @@ class TestGammaA:
             plan = partition_elements(config, 8)
             flops = step_flops(config, 8)
             words = words_per_step(plan, config, config.cg_iters_per_step)
-            value = compute_gamma_a(flops, words)
+            value = flops / words
             assert value >= previous
             previous = value
