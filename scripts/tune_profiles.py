@@ -19,16 +19,21 @@ Two fits:
 import numpy as np
 from scipy.optimize import minimize
 
+from semperf.counts import (
+    MEGA,
+    CaseConfig,
+    iteration_flops,
+    step_flops,
+    step_setup_flops,
+)
 from semperf.gamma import MachineProfile, predict_time
 from semperf.harness import point_counts
-from semperf.kernel import MEGA, CaseConfig
 from semperf.refdata import (
     DEGREE_SWEEP_ROWS,
     STRONG_EFFICIENCY_TARGETS,
     STRONG_SCALING_ROWS,
     TOTAL_WORK_GFLOP,
 )
-from semperf.solver import iteration_flops, step_flops, step_setup_flops
 
 
 def pick_iteration_budget():

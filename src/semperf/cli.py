@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from .counts import CaseConfig
 from .errors import CalibrationDegenerateError, SemperfError
 from .gamma import (
     CalibrationInput,
@@ -34,7 +35,6 @@ from .harness import (
     summary_rows,
     SUMMARY_COLUMNS,
 )
-from .kernel import CaseConfig
 from .partition import partition_elements  # unused; patched as above
 from .profiles import builtin_profiles, example_config_dict
 from .refdata import BASE_BANDWIDTH_MBS
@@ -180,13 +180,13 @@ def cmd_bench(args):
             f"campaign {args.campaign!r} not in config "
             f"(have: {', '.join(sorted(config.campaigns)) or 'none'})"
         )
-    out_dir = config.ensure_output_dir(args.out)
     try:
         spec = _campaign_spec(config, args.campaign, args.mode, args.seed)
     except (TypeError, ValueError, KeyError) as exc:
         raise InputError(
             f"campaign {args.campaign!r} is malformed: {exc}"
         ) from exc
+    out_dir = config.ensure_output_dir(args.out)
     try:
         records = run_campaign(spec)
     except (SemperfError, ValueError) as exc:
@@ -278,7 +278,13 @@ def _read_calibration_table(path):
         raise InputError(f"cannot read table {path}: {exc}") from exc
     rows = []
     if path.suffix.lower() == ".json":
-        for entry in json.loads(text):
+        table = json.loads(text)
+        if not (
+            isinstance(table, list)
+            and all(isinstance(entry, dict) for entry in table)
+        ):
+            raise InputError(f"table {path} must be a JSON list of objects")
+        for entry in table:
             rows.append(
                 CalibrationInput(
                     name=entry["name"],
@@ -312,7 +318,7 @@ def _read_calibration_table(path):
 def cmd_calibrate(args):
     try:
         rows = _read_calibration_table(args.table)
-    except (ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError) as exc:
         raise InputError(f"bad calibration table: {exc}") from exc
     try:
         fit = calibrate(rows, base_bandwidth=args.base_bandwidth)

@@ -13,10 +13,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-import numpy as np
-
+from .counts import MEGA, WORD_BYTES
 from .errors import CalibrationDegenerateError
-from .kernel import MEGA, WORD_BYTES
 
 
 def _require_finite(**values):
@@ -229,6 +227,8 @@ def calibrate(inputs, base_bandwidth):
     or whose fit is not physical, raises CalibrationDegenerateError.  W is
     returned in MB for the given base bandwidth in MB/s.
     """
+    import numpy as np
+
     if not (math.isfinite(base_bandwidth) and base_bandwidth > 0):
         raise ValueError("base_bandwidth must be finite and positive")
     inputs = list(inputs)
@@ -331,6 +331,8 @@ def analyze_usage_histogram(samples, bin_width=0.01):
     Returns bucket counts over [0, 1], the arithmetic mean efficiency, and
     the implied Gamma = E / (1 - E) (inf when the mean saturates at 1).
     """
+    import numpy as np
+
     samples = np.asarray(list(samples), dtype=float)
     if samples.size == 0:
         raise ValueError("no usage samples to analyze")

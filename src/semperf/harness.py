@@ -13,16 +13,13 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from .counts import MEGA, CaseConfig, StepRecord, step_flops
 from .gamma import gamma_from_times, predict_time
-from .kernel import CaseConfig, MEGA
 from .partition import (
     AppProfile,
     partition_elements,
     words_per_step,
 )
-from .solver import StepRecord, run_work_unit, step_flops
 
 CAMPAIGN_KINDS = ("strong", "weak", "degree_sweep", "time_budget")
 DEFAULT_WINDOW_S = 20.0
@@ -64,10 +61,7 @@ class CampaignSpec:
         if self.kind == "weak":
             if not self.weak_scales:
                 raise ValueError("weak scaling needs scale points")
-            per_rank = {
-                (ex * ey * ez) / p
-                for (ex, ey, ez), p in self.weak_scales
-            }
+            per_rank = {case.n_elements / p for case, p in self.points()}
             if len(per_rank) != 1:
                 raise ValueError(
                     "weak-scaling points must hold elements per rank "
@@ -78,6 +72,7 @@ class CampaignSpec:
                 raise ValueError("degree sweep needs degrees and a p_list")
             if len(self.p_list) != 1:
                 raise ValueError("degree sweep runs at a single P")
+            self.points()
         if self.kind == "time_budget":
             # written so that a NaN fails every comparison and is rejected
             for name in ("budget_s", "window_s"):
@@ -91,6 +86,23 @@ class CampaignSpec:
                 raise ValueError(
                     "time_budget campaigns run in simulated mode only"
                 )
+
+    def points(self):
+        """(case, n_ranks) of every scaling point, in campaign order.
+
+        Builds, and so validates, the case of every weak scale and degree.
+        """
+        if self.kind == "weak":
+            return [
+                (replace(self.case, elements=tuple(elements)), p)
+                for elements, p in self.weak_scales
+            ]
+        if self.kind == "degree_sweep":
+            return [
+                (replace(self.case, degrees=(n, n, n)), self.p_list[0])
+                for n in self.degrees
+            ]
+        return [(self.case, p) for p in self.p_list]
 
 
 @dataclass
@@ -223,6 +235,8 @@ def model_point(case, machine, n_ranks, seed=0):
 
 
 def _executed_point(case, machine, n_ranks, seed=0):
+    from .solver import run_work_unit
+
     plan = partition_elements(case, n_ranks)
     report = run_work_unit(case, plan=plan)
     budget = case.cg_iters_per_step
@@ -264,13 +278,18 @@ def _fill_executed_efficiency(records):
     return records
 
 
+def _run_points(spec, kind):
+    records = []
+    for case, p in spec.points():
+        rec = _point(case, spec.machine, p, spec.mode, seed=spec.seed)
+        rec.kind = kind
+        records.append(rec)
+    return records
+
+
 def run_strong_scaling(spec):
     """Fixed problem size, one record per rank count."""
-    records = []
-    for p in spec.p_list:
-        rec = _point(spec.case, spec.machine, p, spec.mode, seed=spec.seed)
-        rec.kind = "strong"
-        records.append(rec)
+    records = _run_points(spec, "strong")
     if spec.mode == "exec":
         _fill_executed_efficiency(records)
     return records
@@ -278,29 +297,18 @@ def run_strong_scaling(spec):
 
 def run_weak_scaling(spec):
     """Fixed per-rank problem size, one record per scale point."""
-    records = []
-    for elements, p in spec.weak_scales:
-        case = replace(spec.case, elements=tuple(elements))
-        rec = _point(case, spec.machine, p, spec.mode, seed=spec.seed)
-        rec.kind = "weak"
-        records.append(rec)
-    return records
+    return _run_points(spec, "weak")
 
 
 def run_degree_sweep(spec):
     """Fixed mesh and rank count, one record per polynomial degree."""
-    p = spec.p_list[0]
-    records = []
-    for degree in spec.degrees:
-        case = replace(spec.case, degrees=(degree, degree, degree))
-        rec = _point(case, spec.machine, p, spec.mode, seed=spec.seed)
-        rec.kind = "degree_sweep"
-        records.append(rec)
-    return records
+    return _run_points(spec, "degree_sweep")
 
 
 def run_time_budget(spec):
     """Count the steps that fit a wall-clock budget; sample usage windows."""
+    import numpy as np
+
     p = spec.p_list[0]
     rec = model_point(spec.case, spec.machine, p, seed=spec.seed)
     rec.kind = "time_budget"

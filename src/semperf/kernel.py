@@ -1,20 +1,16 @@
 """Element-level tensor-product kernels with exact operation accounting.
 
-Counted flops are the additions, multiplications and divisions performed by
-the numerical kernels themselves (operator applications, vector updates,
-dot products).  Basis and geometry setup is excluded, as is the bookkeeping
-arithmetic of interface summation, which is attributed to communication.
+What the flop counters count, and what they leave out, is set out in
+``counts``.
 """
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import SpectralBasis
+from .counts import WORD_BYTES, CaseConfig  # CaseConfig: perfbench/child.py
 
-WORD_BYTES = 8
-MEGA = 1_000_000
 # Bytes of each of the operator's two scratch arrays, and so of the element
 # blocks it works through: at N=8 (729 points) a block is 44 elements, and
 # its input, output and both scratch arrays (about 1 MB) stay in a 2 MB L2.
@@ -41,52 +37,6 @@ class FlopCounter:
     @property
     def total(self):
         return self.additions + self.multiplications + self.divisions
-
-
-@dataclass(frozen=True)
-class CaseConfig:
-    """Benchmark case: element grid, polynomial degrees, work budget."""
-
-    elements: tuple = (8, 8, 8)
-    degrees: tuple = (8, 8, 8)
-    n_fields: int = 1
-    steps: int = 1
-    cg_iters_per_step: int = 100
-
-    def __post_init__(self):
-        counts = (
-            *self.elements,
-            *self.degrees,
-            self.n_fields,
-            self.steps,
-            self.cg_iters_per_step,
-        )
-        if not all(
-            isinstance(c, numbers.Integral) and not isinstance(c, bool)
-            for c in counts
-        ):
-            raise ValueError(
-                "elements, degrees, n_fields, steps and cg_iters_per_step "
-                f"must be integers: {self}"
-            )
-        if len(self.elements) != 3 or any(e < 1 for e in self.elements):
-            raise ValueError(f"element counts must be 3 values >= 1: {self.elements}")
-        if len(self.degrees) != 3 or any(n < 2 for n in self.degrees):
-            raise ValueError(f"degrees must be 3 values >= 2: {self.degrees}")
-        if self.n_fields < 1:
-            raise ValueError("n_fields must be >= 1")
-        if self.steps < 1 or self.cg_iters_per_step < 1:
-            raise ValueError("steps and cg_iters_per_step must be >= 1")
-
-    @property
-    def n_elements(self):
-        ex, ey, ez = self.elements
-        return ex * ey * ez
-
-    @property
-    def points_per_element(self):
-        nx, ny, nz = self.degrees
-        return (nx + 1) * (ny + 1) * (nz + 1)
 
 
 @dataclass
@@ -158,19 +108,6 @@ def tensor_derivative(element_field, basis, axis, counter=None):
         npts = element_field.values.size
         counter.count(add=npts * n_axis, mul=npts * n_axis)
     return ElementField.from_grid(element_field.index, out)
-
-
-def laplacian_flops(shape):
-    """Counted flops of one weak-Laplacian application on one element."""
-    nx, ny, nz = shape
-    npts = nx * ny * nz
-    total = 0
-    for n_axis in shape:
-        total += 2 * npts * n_axis  # D
-        total += npts  # weight scaling
-        total += 2 * npts * n_axis  # D^T
-    total += 2 * npts  # sum of the three direction terms
-    return total
 
 
 class ElementOperator:

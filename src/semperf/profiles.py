@@ -8,10 +8,9 @@ rate growth over N.  The plain cluster profiles carry indicative measured
 interconnect figures for prediction and calibration demos.
 """
 
+from .counts import MEGA, CaseConfig, step_flops
 from .gamma import MachineProfile
-from .kernel import CaseConfig, MEGA
 from .refdata import STRONG_SCALING_ROWS
-from .solver import step_flops
 
 # CG budget sized so one step of the canonical case costs the measured
 # 155.4 GFlop of total work (see scripts/tune_profiles.py).

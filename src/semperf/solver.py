@@ -9,12 +9,7 @@ operator application is followed by a gather-scatter (direct-stiffness
 summation), performed as one face exchange sweep per direction so edge and
 corner values ride inside the face messages.
 
-Counted flops cover the element-local solve arithmetic: operator
-applications, vector updates, dot-product partials and the alpha/beta
-divisions.  Interface summation, reduction combining, masking and one-time
-setup are attributed to communication/bookkeeping and are not counted,
-which makes the per-step count an exact linear function of the element
-count.
+The counted flops of a step are the closed forms of ``counts``.
 """
 
 import math
@@ -25,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import build_gll_basis
-from .kernel import ElementOperator, FlopCounter, laplacian_flops
+from .counts import StepRecord, step_flops  # step_flops: perfbench/child.py
+from .kernel import ElementOperator, FlopCounter
 from .partition import partition_elements
 from .transport import (
     TransportAborted,
@@ -33,44 +29,6 @@ from .transport import (
     allreduce_sum,
     loopback_transport,
 )
-
-# Flops per stored value and CG iteration outside the operator:
-# dot(p,q) 3, x update 2, r update 2, precondition 1, dot(r,z) 3,
-# dot(r,r) 3, p update 2.
-VECTOR_FLOPS_PER_ITER = 16
-# Per-step start-up on r0 = b: precondition 1, dot(r0,z0) 3, dot(r0,r0) 3.
-VECTOR_FLOPS_PER_STEP = 7
-# alpha and beta divisions, performed by every rank.
-DIVS_PER_ITER_PER_RANK = 2
-
-
-def iteration_flops(config):
-    """Counted flops of one CG iteration summed over all elements."""
-    shape = tuple(n + 1 for n in config.degrees)
-    npts = config.points_per_element
-    per_element = config.n_fields * (
-        laplacian_flops(shape) + VECTOR_FLOPS_PER_ITER * npts
-    )
-    return config.n_elements * per_element
-
-
-def step_setup_flops(config):
-    """Counted flops of the per-step CG start-up."""
-    return (
-        config.n_elements
-        * config.n_fields
-        * VECTOR_FLOPS_PER_STEP
-        * config.points_per_element
-    )
-
-
-def step_flops(config, n_ranks=1, iters=None):
-    """Exact counted flops of one work step on n_ranks."""
-    if iters is None:
-        iters = config.cg_iters_per_step
-    return iters * (
-        iteration_flops(config) + DIVS_PER_ITER_PER_RANK * n_ranks
-    ) + step_setup_flops(config)
 
 
 def default_forcing(x, y, z):
@@ -81,30 +39,6 @@ def default_forcing(x, y, z):
 
 def default_solution(x, y, z):
     return np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z)
-
-
-@dataclass(frozen=True, kw_only=True)
-class StepRecord:
-    """One work step: exact counters, wall time and the modeled time split.
-
-    An executed step carries one rank's figures, or all ranks' combined;
-    its ``t_p``/``t_c``/``t_l`` are None.  Its halo counters count the
-    exchanges performed, so a step that stops on an underflowing ``p.q``
-    counts one exchange more than its iterations.  A modeled step has no
-    residual or reduction count, and its wall time is the sum of the
-    modeled parts.
-    """
-
-    iterations: int
-    rel_residual: float = None
-    flops: int
-    halo_words_sent: int
-    halo_messages: int
-    reduce_words_sent: int = None
-    walltime: float
-    t_p: float = None
-    t_c: float = None
-    t_l: float = None
 
 
 @dataclass

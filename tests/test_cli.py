@@ -31,6 +31,13 @@ def strong_campaign(*p_list):
     }
 
 
+def degree_campaign(*degrees):
+    return {
+        "kind": "degree_sweep", "case": "bench8", "machine": "cray-xt3-sim",
+        "p_list": [4], "degrees": list(degrees),
+    }
+
+
 @pytest.fixture()
 def config_path(tmp_path):
     path = tmp_path / "semperf.json"
@@ -180,6 +187,16 @@ class TestBench:
                 },
                 {},
             ),
+            (
+                {
+                    "kind": "weak", "case": "bench8",
+                    "machine": "pleiades2-sim",
+                    "scales": [{"elements": [0, 4, 4], "p": 1}],
+                },
+                {},
+            ),
+            (degree_campaign(1, 8), {}),
+            (degree_campaign("8"), {}),
             ("strong8", {}),
             (strong_campaign(1, 2), {"formats": "json"}),
             (strong_campaign(1, 2), {"formats": ["json", "xml"]}),
@@ -189,6 +206,7 @@ class TestBench:
             "jitter-negative", "jitter-nan", "jitter-inf",
             "p_list-string", "p_list-float",
             "p_list-zero", "p_list-bool", "scales-p-zero",
+            "scales-elements-zero", "degrees-one", "degrees-string",
             "campaign-not-an-object", "formats-string", "formats-unknown",
         ],
     )
@@ -202,7 +220,7 @@ class TestBench:
         path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["bench", "bad", "--config", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
-        assert not list((tmp_path / "out").glob("bad_*"))
+        assert not (tmp_path / "out").exists()
 
 
 class TestPredict:
@@ -365,6 +383,26 @@ class TestCalibrate:
         assert not artifact.exists()
         assert "base_bandwidth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [["a", 1, 1, "base"]],
+            {"a": 1},
+            [{"name": "a", "t_p": None, "gamma": 1, "bandwidth_model": "base"}],
+        ],
+        ids=["rows-not-objects", "top-level-object", "null-value"],
+    )
+    def test_malformed_json_table_exits_2_without_writing_a_fit(
+        self, tmp_path, capsys, table
+    ):
+        path = tmp_path / "gamma.json"
+        path.write_text(json.dumps(table), encoding="utf-8")
+        artifact = tmp_path / "fit.json"
+        assert main(["calibrate", str(path), "--out", str(artifact)]) == 2
+        assert not artifact.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_missing_columns(self, tmp_path):
         table = tmp_path / "bad.csv"
         table.write_text("a,b\n1,2\n", encoding="utf-8")
@@ -458,7 +496,11 @@ def test_init_config_writes_valid_example(tmp_path, capsys):
 
 
 class TestFreshInterpreter:
-    """No command imports scipy, not even an over-determined calibration."""
+    """No command imports scipy, not even an over-determined calibration.
+
+    Simulated campaigns other than time budgets and ``predict`` do not
+    import numpy either; ``calibrate`` and ``analyze`` import it on demand.
+    """
 
     @staticmethod
     def run(*args):
@@ -506,3 +548,45 @@ class TestFreshInterpreter:
         assert len(fit["residuals_s"]) == 4
         assert fit["t_l_s"] == pytest.approx(1.0, abs=0.05)
         assert fit["alpha"] == pytest.approx(8.4, abs=0.2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bench", "strong8"],
+            ["bench", "weak64"],
+            ["bench", "degrees"],
+            ["predict", "--machine", "pleiades2", "-P", "8", "--json"],
+        ],
+        ids=["import", "bench-strong8", "bench-weak64", "bench-degrees",
+             "predict"],
+    )
+    def test_simulated_command_does_not_import_numpy(self, config_path, argv):
+        if argv[:1] == ["bench"]:
+            argv = [*argv, "--config", str(config_path)]
+        script = textwrap.dedent(
+            f"""
+            import sys
+            import semperf.cli
+            argv = {argv!r}
+            assert not argv or semperf.cli.main(argv) == 0
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+            """
+        )
+        assert self.run("-c", script).splitlines()[-1] == "[]"
+
+    def test_calibrate_and_analyze_import_numpy_on_demand(self, tmp_path):
+        table = tmp_path / "gamma.csv"
+        table.write_text(CALIBRATION_CSV, encoding="utf-8")
+        samples = tmp_path / "usage.csv"
+        samples.write_text("timestamp,usage\n0,0.5\n20,0.7\n", encoding="utf-8")
+        script = textwrap.dedent(
+            f"""
+            import semperf.cli
+            fit = ["calibrate", {str(table)!r}, "--out", {str(tmp_path / "fit.json")!r}]
+            assert semperf.cli.main(fit) == 0
+            assert semperf.cli.main(["analyze", {str(samples)!r}]) == 0
+            """
+        )
+        out = self.run("-c", script)
+        assert "alpha" in out and "mean_E   0.6000" in out

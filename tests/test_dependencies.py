@@ -1,4 +1,7 @@
-"""The package imports nothing outside the standard library but numpy."""
+"""The package imports nothing outside the standard library but numpy.
+
+Its model layer loads neither numpy nor the executed layer at import.
+"""
 
 import ast
 import sys
@@ -27,3 +30,45 @@ def test_package_imports_only_stdlib_and_numpy():
         if name not in ALLOWED and name not in sys.stdlib_module_names
     )
     assert third_party == []
+
+
+# The executed layer; every other module is the numpy-free model layer.
+EXECUTED = {"basis", "kernel", "solver", "transport"}
+
+
+def module_level_imports(node):
+    """Modules imported when a module loads, relative ones as semperf.x.
+
+    Imports nested in a function run only when it is called and are
+    skipped; those in a class body or an if block run at import.
+    """
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(child, ast.Import):
+            yield from (alias.name for alias in child.names)
+        elif isinstance(child, ast.ImportFrom):
+            base = ("semperf." if child.level else "") + (child.module or "")
+            if child.module is None:
+                yield from (base + alias.name for alias in child.names)
+            else:
+                yield base
+        else:
+            yield from module_level_imports(child)
+
+
+def test_model_layer_does_not_import_numpy_or_the_executed_layer():
+    modules = sorted(
+        p for p in PACKAGE.glob("*.py") if p.stem not in EXECUTED
+    )
+    assert {p.stem for p in modules} >= {"cli", "counts", "gamma", "harness"}
+    forbidden = sorted(
+        (path.name, name)
+        for path in modules
+        for name in module_level_imports(
+            ast.parse(path.read_text(encoding="utf-8"))
+        )
+        if name.split(".")[0] == "numpy"
+        or name.removeprefix("semperf.").split(".")[0] in EXECUTED
+    )
+    assert forbidden == []

@@ -143,15 +143,15 @@ class TestDegreeSweepSimulated:
         assert a == b
 
     def test_degree_below_two_propagates(self, machines):
-        spec = CampaignSpec(
-            kind="degree_sweep",
-            case=REFERENCE_STRONG_CASE,
-            machine=machines["cray-xt3-sim"],
-            p_list=(4,),
-            degrees=(1, 2),
-        )
+        # the spec builds every degree's case, so it rejects the sweep
         with pytest.raises(ValueError, match="degrees"):
-            run_degree_sweep(spec)
+            CampaignSpec(
+                kind="degree_sweep",
+                case=REFERENCE_STRONG_CASE,
+                machine=machines["cray-xt3-sim"],
+                p_list=(4,),
+                degrees=(1, 2),
+            )
 
 
 class TestTimeBudget:

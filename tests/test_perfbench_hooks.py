@@ -10,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from semperf.kernel import CaseConfig, laplacian_flops
+from semperf.counts import CaseConfig, laplacian_flops
 
 REPO = Path(__file__).resolve().parents[1]
 

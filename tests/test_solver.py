@@ -12,15 +12,13 @@ import numpy as np
 import pytest
 
 from semperf.basis import build_gll_basis
-from semperf.kernel import CaseConfig
+from semperf.counts import CaseConfig, iteration_flops, step_flops
 from semperf.partition import partition_elements, words_per_step
 from semperf.solver import (
     RankWorker,
     default_forcing,
     default_solution,
-    iteration_flops,
     run_work_unit,
-    step_flops,
 )
 from semperf.transport import loopback_transport
 
