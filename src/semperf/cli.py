@@ -1,9 +1,11 @@
 """Command-line front end: bench, predict, calibrate, analyze.
 
-Exit codes are a stable contract: 0 success, 2 input/config error, 3 run
-failure, 4 degenerate calibration.  The config file is JSON with a
-``version`` key; see example_config_dict() or README for the schema.  The
-SEMPERF_CONFIG environment variable supplies the default config path.
+Exit codes are a stable contract: 0 success, 2 input/config error or an
+unreadable or unwritable path, 3 run failure, 4 degenerate calibration.
+main() is the one place that maps exceptions to them.  The config file is
+JSON with a ``version`` key, built whole when it loads; see
+example_config_dict() or README for the schema.  The SEMPERF_CONFIG
+environment variable supplies the default config path.
 """
 
 import argparse
@@ -12,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .counts import CaseConfig
@@ -53,68 +55,71 @@ class InputError(Exception):
 
 @dataclass
 class ToolConfig:
-    """Parsed tool configuration: profiles, cases, campaign definitions."""
+    """Parsed tool configuration: machine profiles and campaign specs."""
 
     machines: dict
-    cases: dict
     campaigns: dict
     output_dir: Path
     formats: tuple = ("json", "csv")
-    version: int = 1
 
     @classmethod
     def from_path(cls, path):
+        """Read the config and build every machine, case and campaign in it.
+
+        A malformed entry anywhere raises InputError naming that entry, so a
+        config either loads whole or not at all.
+        """
+        where = "JSON"
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise InputError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config {path} is not valid JSON: {exc}") from exc
-        if "version" not in raw:
-            raise InputError(f"config {path} is missing the version key")
-        machines = dict(builtin_profiles())
-        for name, params in raw.get("machines", {}).items():
-            try:
+            where = "top level"
+            if not (
+                isinstance(raw, dict)
+                and "version" in raw
+                and all(
+                    isinstance(raw.get(key, {}), dict)
+                    for key in ("machines", "cases", "campaigns")
+                )
+            ):
+                raise TypeError(
+                    "need a JSON object with a version key and objects for "
+                    "machines, cases and campaigns"
+                )
+            machines = dict(builtin_profiles())
+            for name, params in raw.get("machines", {}).items():
+                where = f"machine {name!r}"
                 machines[name] = MachineProfile(name=name, **params)
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"bad machine {name!r}: {exc}") from exc
-        cases = {}
-        for name, params in raw.get("cases", {}).items():
-            try:
+            cases = {}
+            for name, params in raw.get("cases", {}).items():
+                where = f"case {name!r}"
                 cases[name] = _case_from_dict(params)
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"bad case {name!r}: {exc}") from exc
-        campaigns = raw.get("campaigns", {})
-        for cname, cdef in campaigns.items():
-            if not isinstance(cdef, dict):
-                raise InputError(f"campaign {cname!r} is not a JSON object")
-            case_name = cdef.get("case")
-            if case_name not in cases:
-                raise InputError(
-                    f"campaign {cname!r} references unknown case {case_name!r}"
+            campaigns = {}
+            for name, cdef in raw.get("campaigns", {}).items():
+                where = f"campaign {name!r}"
+                campaigns[name] = _campaign_from_dict(cdef, cases, machines)
+            where = "formats"
+            formats = raw.get("formats", ["json", "csv"])
+            if not (
+                isinstance(formats, list)
+                and all(f in ("json", "csv") for f in formats)
+            ):
+                raise ValueError(
+                    f"must be a list of json and csv (got {formats!r})"
                 )
-            machine_name = cdef.get("machine")
-            if machine_name not in machines:
-                raise InputError(
-                    f"campaign {cname!r} references unknown machine "
-                    f"{machine_name!r}"
-                )
-        formats = raw.get("formats", ["json", "csv"])
-        if not (
-            isinstance(formats, list)
-            and all(f in ("json", "csv") for f in formats)
-        ):
-            raise InputError(
-                f"formats must be a list of json and csv (got {formats!r})"
+            where = "output_dir"
+            output_dir = Path(raw.get("output_dir", "semperf-out"))
+        except (TypeError, ValueError, KeyError) as exc:
+            detail = (
+                f"missing or unknown key {exc}"
+                if isinstance(exc, KeyError)
+                else exc
             )
-        output_dir = Path(raw.get("output_dir", "semperf-out"))
+            raise InputError(f"config {path}, {where}: {detail}") from exc
         return cls(
             machines=machines,
-            cases=cases,
             campaigns=campaigns,
             output_dir=output_dir,
             formats=tuple(formats),
-            version=raw["version"],
         )
 
     def ensure_output_dir(self, override=None):
@@ -135,14 +140,11 @@ def _case_from_dict(params):
     )
 
 
-def _campaign_spec(config, name, mode, seed):
-    cdef = config.campaigns[name]
-    case = config.cases[cdef["case"]]
-    machine = config.machines[cdef["machine"]]
+def _campaign_from_dict(cdef, cases, machines):
     return CampaignSpec(
         kind=cdef["kind"],
-        case=case,
-        machine=machine,
+        case=cases[cdef["case"]],
+        machine=machines[cdef["machine"]],
         p_list=tuple(cdef.get("p_list", ())),
         weak_scales=tuple(
             (tuple(pt["elements"]), pt["p"]) for pt in cdef.get("scales", ())
@@ -151,8 +153,6 @@ def _campaign_spec(config, name, mode, seed):
         budget_s=cdef.get("budget_s", 0.0),
         window_s=cdef.get("window_s", 20.0),
         jitter=cdef.get("jitter", 0.02),
-        seed=seed,
-        mode=mode,
     )
 
 
@@ -180,12 +180,9 @@ def cmd_bench(args):
             f"campaign {args.campaign!r} not in config "
             f"(have: {', '.join(sorted(config.campaigns)) or 'none'})"
         )
-    try:
-        spec = _campaign_spec(config, args.campaign, args.mode, args.seed)
-    except (TypeError, ValueError, KeyError) as exc:
-        raise InputError(
-            f"campaign {args.campaign!r} is malformed: {exc}"
-        ) from exc
+    spec = replace(
+        config.campaigns[args.campaign], mode=args.mode, seed=args.seed
+    )
     out_dir = config.ensure_output_dir(args.out)
     try:
         records = run_campaign(spec)
@@ -223,28 +220,25 @@ def cmd_bench(args):
 
 
 def cmd_predict(args):
-    machines = dict(builtin_profiles())
-    if args.config or os.environ.get(CONFIG_ENV_VAR):
-        config = ToolConfig.from_path(
-            args.config or os.environ.get(CONFIG_ENV_VAR)
-        )
-        machines.update(config.machines)
+    config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    machines = (
+        ToolConfig.from_path(config_path).machines
+        if config_path
+        else builtin_profiles()
+    )
     if args.machine not in machines:
         raise InputError(
             f"unknown machine {args.machine!r} "
             f"(have: {', '.join(sorted(machines))})"
         )
     machine = machines[args.machine]
-    try:
-        case = CaseConfig(
-            elements=tuple(args.elements),
-            degrees=tuple(args.degrees),
-            n_fields=args.n_fields,
-            cg_iters_per_step=args.iters,
-        )
-        rec = model_point(case, machine, args.ranks)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    case = CaseConfig(
+        elements=tuple(args.elements),
+        degrees=tuple(args.degrees),
+        n_fields=args.n_fields,
+        cg_iters_per_step=args.iters,
+    )
+    rec = model_point(case, machine, args.ranks)
     step = rec.steps[0]
     result = {
         "machine": machine.name,
@@ -272,90 +266,64 @@ def cmd_predict(args):
 
 def _read_calibration_table(path):
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read table {path}: {exc}") from exc
-    rows = []
+    text = path.read_text(encoding="utf-8")
     if path.suffix.lower() == ".json":
         table = json.loads(text)
-        if not (
-            isinstance(table, list)
-            and all(isinstance(entry, dict) for entry in table)
-        ):
-            raise InputError(f"table {path} must be a JSON list of objects")
-        for entry in table:
-            rows.append(
-                CalibrationInput(
-                    name=entry["name"],
-                    t_p=float(entry["t_p"]),
-                    gamma=float(entry["gamma"]),
-                    bandwidth_model=entry["bandwidth_model"],
-                    sharing=float(entry.get("sharing", 1.0)),
-                )
+    else:
+        # cells are stripped; an empty or missing cell counts as absent
+        table = [
+            {key: value.strip() for key, value in row.items() if key and value}
+            for row in csv.DictReader(text.splitlines())
+        ]
+    if not (
+        isinstance(table, list) and all(isinstance(row, dict) for row in table)
+    ):
+        raise InputError(f"table {path} must be a JSON list of objects")
+    rows = []
+    for entry in table:
+        if not {"name", "t_p", "gamma", "bandwidth_model"} <= entry.keys():
+            raise InputError(
+                f"table {path} needs columns name,t_p,gamma,bandwidth_model"
+                "[,sharing] in every row"
             )
-        return rows
-    reader = csv.DictReader(text.splitlines())
-    required = {"name", "t_p", "gamma", "bandwidth_model"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise InputError(
-            f"table {path} needs columns name,t_p,gamma,bandwidth_model"
-            "[,sharing]"
-        )
-    for entry in reader:
         rows.append(
             CalibrationInput(
                 name=entry["name"],
                 t_p=float(entry["t_p"]),
                 gamma=float(entry["gamma"]),
-                bandwidth_model=entry["bandwidth_model"].strip(),
-                sharing=float(entry.get("sharing") or 1.0),
+                bandwidth_model=entry["bandwidth_model"],
+                sharing=float(entry.get("sharing", 1.0)),
             )
         )
     return rows
 
 
 def cmd_calibrate(args):
-    try:
-        rows = _read_calibration_table(args.table)
-    except (TypeError, ValueError, KeyError) as exc:
-        raise InputError(f"bad calibration table: {exc}") from exc
-    try:
-        fit = calibrate(rows, base_bandwidth=args.base_bandwidth)
-    except CalibrationDegenerateError as exc:
-        print(f"calibration degenerate: {exc}", file=sys.stderr)
-        if exc.inputs:
-            print(f"inputs: {', '.join(exc.inputs)}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    rows = _read_calibration_table(args.table)
+    fit = calibrate(rows, base_bandwidth=args.base_bandwidth)
+    out = Path(args.out) if args.out else Path("gamma_fit.json")
+    out.write_text(fit.to_json(indent=2), encoding="utf-8")
     print(f"W      {fit.w_mb:10.4f} MB per step")
     print(f"alpha  {fit.alpha:10.4f}")
     print(f"T_L    {fit.t_l:10.4f} s")
     print(f"b2     {fit.scaled_bandwidth:10.4f} MB/s")
     for name, resid in zip(fit.input_names, fit.residuals):
         print(f"residual[{name}]  {resid:+.3e} s")
-    out = Path(args.out) if args.out else Path("gamma_fit.json")
-    out.write_text(fit.to_json(indent=2), encoding="utf-8")
     print(f"wrote {out}")
     return EXIT_OK
 
 
 def _read_samples(path):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read samples {path}: {exc}") from exc
+    text = Path(path).read_text(encoding="utf-8")
     samples = []
     header_allowed = True
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        parts = [p for p in line.replace(",", " ").split() if p]
         try:
-            samples.append(float(parts[-1]))
-        except ValueError:
+            samples.append(float(line.replace(",", " ").split()[-1]))
+        except (ValueError, IndexError):
             if not header_allowed:
                 raise InputError(
                     f"{path}:{lineno}: cannot parse a usage value from "
@@ -373,17 +341,12 @@ def cmd_analyze(args):
         raise InputError(
             "--cores-per-node and --active-ranks must be given together"
         )
-    try:
-        if args.cores_per_node is not None:
-            samples = [
-                normalize_node_usage(
-                    s, args.active_ranks, args.cores_per_node
-                ).value
-                for s in samples
-            ]
-        analysis = analyze_usage_histogram(samples, bin_width=args.bin_width)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    if args.cores_per_node is not None:
+        samples = [
+            normalize_node_usage(s, args.active_ranks, args.cores_per_node).value
+            for s in samples
+        ]
+    analysis = analyze_usage_histogram(samples, bin_width=args.bin_width)
     out = Path(args.out) if args.out else Path(args.samples).with_suffix(".hist")
     lines = [
         f"{edge:.6f} {count}"
@@ -470,16 +433,21 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and map its failure to the exit-code contract."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except CalibrationDegenerateError as exc:
+        print(f"calibration degenerate: {exc}", file=sys.stderr)
+        if exc.inputs:
+            print(f"inputs: {', '.join(exc.inputs)}", file=sys.stderr)
+        return EXIT_DEGENERATE
     except SemperfError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUN
+    except (InputError, ValueError, TypeError, KeyError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -148,6 +148,8 @@ class CalibrationInput:
     sharing: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string (got {self.name!r})")
         if self.bandwidth_model not in BANDWIDTH_MODELS:
             raise ValueError(
                 f"unknown bandwidth model {self.bandwidth_model!r}; "
@@ -299,8 +301,6 @@ def normalize_node_usage(raw_node_usage, active_ranks, cores_per_node):
     cores at full tilt reads 50%; the per-rank figure is raw * cores /
     active ranks, capped at 1 with a saturation flag.
     """
-    if active_ranks == 0:
-        raise ValueError("active_ranks must be >= 1")
     if not 0.0 <= raw_node_usage <= 1.0:
         raise ValueError(f"raw usage must lie in [0, 1] (got {raw_node_usage})")
     if not 1 <= active_ranks <= cores_per_node:

@@ -178,17 +178,21 @@ def _json_num(x):
     return "inf" if math.isinf(x) else x
 
 
+# JSON key (and steps-CSV column) of each StepRecord attribute, in order
+_STEP_FIELDS = {
+    "walltime_s": "walltime",
+    "t_p_s": "t_p",
+    "t_c_s": "t_c",
+    "t_l_s": "t_l",
+    "flops": "flops",
+    "words": "halo_words_sent",
+    "messages": "halo_messages",
+    "iterations": "iterations",
+}
+
+
 def _step_json_dict(step):
-    return {
-        "walltime_s": step.walltime,
-        "t_p_s": step.t_p,
-        "t_c_s": step.t_c,
-        "t_l_s": step.t_l,
-        "flops": step.flops,
-        "words": step.halo_words_sent,
-        "messages": step.halo_messages,
-        "iterations": step.iterations,
-    }
+    return {key: getattr(step, attr) for key, attr in _STEP_FIELDS.items()}
 
 
 def point_counts(case, n_ranks):
@@ -401,18 +405,7 @@ def records_to_summary_csv(records):
     return buf.getvalue()
 
 
-STEP_COLUMNS = (
-    "P",
-    "step",
-    "walltime_s",
-    "t_p_s",
-    "t_c_s",
-    "t_l_s",
-    "flops",
-    "words",
-    "messages",
-    "iterations",
-)
+STEP_COLUMNS = ("P", "step", *_STEP_FIELDS)
 
 
 def records_to_steps_csv(records):
@@ -425,14 +418,7 @@ def records_to_steps_csv(records):
                 {
                     "P": rec.n_ranks,
                     "step": i,
-                    "walltime_s": _fmt(s.walltime),
-                    "t_p_s": _fmt(s.t_p),
-                    "t_c_s": _fmt(s.t_c),
-                    "t_l_s": _fmt(s.t_l),
-                    "flops": s.flops,
-                    "words": s.halo_words_sent,
-                    "messages": s.halo_messages,
-                    "iterations": s.iterations,
+                    **{k: _fmt(v) for k, v in _step_json_dict(s).items()},
                 }
             )
     return buf.getvalue()

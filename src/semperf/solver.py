@@ -45,7 +45,6 @@ def default_solution(x, y, z):
 class WorkUnitReport:
     """Aggregated result of one executed work unit."""
 
-    n_ranks: int
     steps: tuple  # StepRecord per step
     per_rank_flops: tuple  # FlopCounter per rank, whole run
     per_rank_halo_words_sent: tuple
@@ -414,7 +413,6 @@ def run_work_unit(
     for r in results:
         fields.update(r["fields"])
     return WorkUnitReport(
-        n_ranks=plan.n_ranks,
         steps=tuple(steps),
         per_rank_flops=tuple(r["counter"] for r in results),
         per_rank_halo_words_sent=tuple(

@@ -1,11 +1,15 @@
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semperf.cli import main
 from semperf.profiles import example_config_dict
@@ -200,6 +204,9 @@ class TestBench:
             ("strong8", {}),
             (strong_campaign(1, 2), {"formats": "json"}),
             (strong_campaign(1, 2), {"formats": ["json", "xml"]}),
+            ({**strong_campaign(1, 2), "case": [1]}, {}),
+            (strong_campaign(1, 2), {"machines": []}),
+            (strong_campaign(1, 2), {"cases": [1]}),
         ],
         ids=[
             "window_s-zero", "window_s-nan", "budget_s-nan", "budget_s-inf",
@@ -208,6 +215,7 @@ class TestBench:
             "p_list-zero", "p_list-bool", "scales-p-zero",
             "scales-elements-zero", "degrees-one", "degrees-string",
             "campaign-not-an-object", "formats-string", "formats-unknown",
+            "case-not-a-name", "machines-list", "cases-list",
         ],
     )
     def test_malformed_campaign_exits_2_without_output(
@@ -220,6 +228,42 @@ class TestBench:
         path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["bench", "bad", "--config", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {**example_config_dict(), "campaigns": []},
+            ["version"],
+            3,
+            {**example_config_dict(), "output_dir": 5},
+        ],
+        ids=[
+            "campaigns-list", "top-level-list", "top-level-number",
+            "output_dir-number",
+        ],
+    )
+    def test_malformed_config_exits_2_without_output(
+        self, tmp_path, monkeypatch, capsys, config
+    ):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["bench", "strong8", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: config")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_one_malformed_campaign_fails_every_command(self, tmp_path, capsys):
+        cfg = example_config_dict()
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["campaigns"]["bad"] = strong_campaign(0)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["bench", "strong8", "--config", str(path)]) == 2
+        assert main(["predict", "--machine", "pleiades2", "--config",
+                     str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("campaign 'bad'") == 2
         assert not (tmp_path / "out").exists()
 
 
@@ -389,8 +433,12 @@ class TestCalibrate:
             [["a", 1, 1, "base"]],
             {"a": 1},
             [{"name": "a", "t_p": None, "gamma": 1, "bandwidth_model": "base"}],
+            [{"name": ["a"], "t_p": 1, "gamma": 1, "bandwidth_model": "base"}],
         ],
-        ids=["rows-not-objects", "top-level-object", "null-value"],
+        ids=[
+            "rows-not-objects", "top-level-object", "null-value",
+            "name-not-a-string",
+        ],
     )
     def test_malformed_json_table_exits_2_without_writing_a_fit(
         self, tmp_path, capsys, table
@@ -402,6 +450,16 @@ class TestCalibrate:
         assert not artifact.exists()
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_csv_row_with_missing_cell_exits_2(self, tmp_path, capsys):
+        table = tmp_path / "gamma.csv"
+        table.write_text(
+            CALIBRATION_CSV.replace("3.81,scaled,1", "3.81"), encoding="utf-8"
+        )
+        artifact = tmp_path / "fit.json"
+        assert main(["calibrate", str(table), "--out", str(artifact)]) == 2
+        assert not artifact.exists()
+        assert "needs columns" in capsys.readouterr().err
 
     def test_missing_columns(self, tmp_path):
         table = tmp_path / "bad.csv"
@@ -463,6 +521,7 @@ class TestAnalyze:
         [
             ("0.0,0.5\n20.0,0.5x\n40.0,0.7\n", 2),
             ("timestamp,usage\n\n0.0,0.5\n20.0,0.5x\n40.0,0.7\n", 4),
+            ("0.0,0.5\n,\n40.0,0.7\n", 2),
         ],
     )
     def test_unparseable_data_row_is_input_error(
@@ -493,6 +552,147 @@ def test_init_config_writes_valid_example(tmp_path, capsys):
     data = json.loads(path.read_text(encoding="utf-8"))
     assert data["version"] == 1
     assert "strong8" in data["campaigns"]
+
+
+@pytest.mark.parametrize(
+    "command", ["bench", "calibrate", "analyze", "init-config"]
+)
+def test_unusable_output_path_exits_2(tmp_path, capsys, config_path, command):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("", encoding="utf-8")
+    missing = tmp_path / "missing" / "out"
+    table = tmp_path / "gamma.csv"
+    table.write_text(CALIBRATION_CSV, encoding="utf-8")
+    samples = tmp_path / "usage.csv"
+    samples.write_text("timestamp,usage\n0,0.5\n", encoding="utf-8")
+    argv = {
+        "bench": ["bench", "strong8", "--config", str(config_path),
+                  "--out", str(blocker)],
+        "calibrate": ["calibrate", str(table), "--out", str(missing)],
+        "analyze": ["analyze", str(samples), "--out", str(missing)],
+        "init-config": ["init-config", str(missing)],
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+DROP = object()
+# no huge finite numbers: a time budget allocates budget_s / window_s windows
+MUTANTS = [DROP, None, 0, -1, math.nan, math.inf, "8", [1], {}, True, [[1]]]
+
+
+def _paths(node, prefix=()):
+    """The path of every dict entry and list item nested in node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield (*prefix, key)
+        yield from _paths(child, (*prefix, key))
+
+
+@st.composite
+def mutated(draw, document):
+    """document with one to three entries dropped or replaced by a mutant."""
+    document = copy.deepcopy(document)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(document))
+        if not paths:
+            break
+        *parents, last = draw(st.sampled_from(paths))
+        target = document
+        for key in parents:
+            target = target[key]
+        value = draw(st.sampled_from(MUTANTS))
+        if value is DROP:
+            del target[last]
+        else:
+            target[last] = copy.deepcopy(value)
+    return document
+
+
+def csv_text(rows):
+    return "".join(
+        (",".join(map(str, row)) if isinstance(row, list) else str(row))
+        + "\n"
+        for row in rows
+    )
+
+
+CALIBRATION_ROWS = [line.split(",") for line in CALIBRATION_CSV.split()]
+SAMPLE_ROWS = [["timestamp", "usage"]] + [
+    [str(20 * i), str(0.5 + 0.01 * i)] for i in range(20)
+]
+
+
+def run_in(workdir, argv):
+    """main(argv) run from workdir; its exit code (it must not raise)."""
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2, 3, 4)
+    return code
+
+
+class TestMutatedInputs:
+    """Simulated commands on mutated inputs exit 0, 2, 3 or 4, never raise,
+    and leave no output behind when they exit 2."""
+
+    @settings(max_examples=150)
+    @given(
+        config=mutated(example_config_dict()),
+        argv=st.sampled_from([
+            ["bench", "strong8"], ["bench", "weak64"], ["bench", "degrees"],
+            ["bench", "usage10h"], ["predict", "--machine", "pleiades2"],
+        ]),
+    )
+    def test_config(self, config, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            if run_in(tmp, [*argv, "--config", str(path)]) == 2:
+                assert os.listdir(tmp) == ["cfg.json"]
+
+    @settings(max_examples=100)
+    @given(
+        table=st.one_of(
+            mutated(CALIBRATION_ROWS).map(
+                lambda rows: ("gamma.csv", csv_text(rows))
+            ),
+            mutated(
+                [dict(zip(CALIBRATION_ROWS[0], r))
+                 for r in CALIBRATION_ROWS[1:]]
+            ).map(lambda rows: ("gamma.json", json.dumps(rows))),
+        )
+    )
+    def test_calibration_table(self, table):
+        name, text = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / name
+            path.write_text(text, encoding="utf-8")
+            fit = Path(tmp) / "fit.json"
+            if run_in(tmp, ["calibrate", str(path), "--out", str(fit)]) == 2:
+                assert not fit.exists()
+
+    @settings(max_examples=100)
+    @given(rows=mutated(SAMPLE_ROWS))
+    def test_samples(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "usage.csv"
+            path.write_text(csv_text(rows), encoding="utf-8")
+            hist = Path(tmp) / "usage.hist"
+            if run_in(tmp, ["analyze", str(path), "--out", str(hist)]) == 2:
+                assert not hist.exists()
 
 
 class TestFreshInterpreter:

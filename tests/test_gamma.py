@@ -262,6 +262,11 @@ class TestCalibration:
         with pytest.raises(ValueError, match="bandwidth model"):
             CalibrationInput("x", 1.0, 1.0, "turbo")
 
+    @pytest.mark.parametrize("name", [["a"], 1, None])
+    def test_non_string_name_rejected(self, name):
+        with pytest.raises(ValueError, match="name must be a string"):
+            CalibrationInput(name, 1.0, 1.0, "base")
+
     def test_self_consistent_with_predict_time(self):
         # points synthesized through the forward time model must calibrate
         # back to the volume, ratio, and latency that generated them
