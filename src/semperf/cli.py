@@ -130,13 +130,16 @@ class ToolConfig:
         return out
 
 
+def _given(params, *keys):
+    """The keys params holds; the dataclass defaults fill in the rest."""
+    return {key: params[key] for key in keys if key in params}
+
+
 def _case_from_dict(params):
     return CaseConfig(
         elements=tuple(params["elements"]),
         degrees=tuple(params["degrees"]),
-        n_fields=params.get("n_fields", 1),
-        steps=params.get("steps", 1),
-        cg_iters_per_step=params.get("cg_iters_per_step", 100),
+        **_given(params, "n_fields", "steps", "cg_iters_per_step"),
     )
 
 
@@ -150,9 +153,7 @@ def _campaign_from_dict(cdef, cases, machines):
             (tuple(pt["elements"]), pt["p"]) for pt in cdef.get("scales", ())
         ),
         degrees=tuple(cdef.get("degrees", ())),
-        budget_s=cdef.get("budget_s", 0.0),
-        window_s=cdef.get("window_s", 20.0),
-        jitter=cdef.get("jitter", 0.02),
+        **_given(cdef, "budget_s", "window_s", "jitter"),
     )
 
 

@@ -10,6 +10,7 @@ represented by ``math.inf``.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -19,6 +20,8 @@ from .errors import CalibrationDegenerateError
 
 def _require_finite(**values):
     for name, x in values.items():
+        if isinstance(x, bool):
+            raise ValueError(f"{name} must be a number, not a bool")
         if not math.isfinite(x):
             raise ValueError(f"{name} must be finite (got {x})")
 
@@ -56,8 +59,15 @@ class MachineProfile:
             raise ValueError("latency must be >= 0")
         if self.link_sharing < 1:
             raise ValueError("link_sharing must be >= 1")
-        if self.cores_per_node < 1:
-            raise ValueError("cores_per_node must be >= 1")
+        if not (
+            isinstance(self.cores_per_node, numbers.Integral)
+            and not isinstance(self.cores_per_node, bool)
+            and self.cores_per_node >= 1
+        ):
+            raise ValueError(
+                f"cores_per_node must be an integer >= 1 "
+                f"(got {self.cores_per_node!r})"
+            )
 
     @property
     def per_rank_bandwidth(self):

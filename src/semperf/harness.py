@@ -11,7 +11,7 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .counts import MEGA, CaseConfig, StepRecord, step_flops
 from .gamma import gamma_from_times, predict_time
@@ -74,12 +74,17 @@ class CampaignSpec:
                 raise ValueError("degree sweep runs at a single P")
             self.points()
         if self.kind == "time_budget":
-            # written so that a NaN fails every comparison and is rejected
+            # written so that a NaN fails every comparison and is rejected;
+            # a JSON true is a number to Python, so bools are refused first
             for name in ("budget_s", "window_s"):
-                if not 0 < getattr(self, name) < math.inf:
-                    raise ValueError(f"{name} must be finite and positive")
-            if not 0 <= self.jitter < math.inf:
-                raise ValueError("jitter must be finite and >= 0")
+                value = getattr(self, name)
+                if isinstance(value, bool) or not 0 < value < math.inf:
+                    raise ValueError(
+                        f"{name} must be a finite positive number"
+                    )
+            jitter = self.jitter
+            if isinstance(jitter, bool) or not 0 <= jitter < math.inf:
+                raise ValueError("jitter must be a finite number >= 0")
             if len(self.p_list) != 1:
                 raise ValueError("time budget runs at a single P")
             if self.mode != "sim":
@@ -149,13 +154,7 @@ class RunRecord:
             "kind": self.kind,
             "mode": self.mode,
             "machine": self.machine_name,
-            "case": {
-                "elements": list(self.case.elements),
-                "degrees": list(self.case.degrees),
-                "n_fields": self.case.n_fields,
-                "steps": self.case.steps,
-                "cg_iters_per_step": self.case.cg_iters_per_step,
-            },
+            "case": asdict(self.case),
             "n_ranks": self.n_ranks,
             "rank_grid": list(self.rank_grid),
             "cut_face_count": self.cut_face_count,
@@ -263,12 +262,6 @@ def _executed_point(case, machine, n_ranks, seed=0):
     )
 
 
-def _point(case, machine, n_ranks, mode, seed=0):
-    if mode == "sim":
-        return model_point(case, machine, n_ranks, seed=seed)
-    return _executed_point(case, machine, n_ranks, seed=seed)
-
-
 def _fill_executed_efficiency(records):
     """Derive executed-mode efficiency from the P=1 baseline, if present."""
     baseline = next((r for r in records if r.n_ranks == 1), None)
@@ -283,9 +276,10 @@ def _fill_executed_efficiency(records):
 
 
 def _run_points(spec, kind):
+    point = model_point if spec.mode == "sim" else _executed_point
     records = []
     for case, p in spec.points():
-        rec = _point(case, spec.machine, p, spec.mode, seed=spec.seed)
+        rec = point(case, spec.machine, p, seed=spec.seed)
         rec.kind = kind
         records.append(rec)
     return records

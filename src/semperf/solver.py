@@ -58,39 +58,48 @@ class WorkUnitReport:
 
 
 class RankWorker:
-    """State and kernels of one rank's block of elements."""
+    """State and kernels of one rank's block of elements.
+
+    A block's arrays are laid out (cz, cy, cx, f, nz, ny, nx): per direction
+    an element axis and a node axis, with the fields in between.
+    """
+
+    _EL_AXIS = (2, 1, 0)  # array axis of the element index per direction
+    _NODE_AXIS = (6, 5, 4)  # array axis of the node index per direction
 
     def __init__(self, config, plan, endpoint):
         self.config = config
-        self.plan = plan
         self.endpoint = endpoint
         self.rank = endpoint.rank
         self.counter = FlopCounter()
 
-        (x0, x1), (y0, y1), (z0, z1) = plan.block_of(self.rank)
-        self.block = ((x0, x1), (y0, y1), (z0, z1))
-        self.counts = (x1 - x0, y1 - y0, z1 - z0)
-        nx, ny, nz = (n + 1 for n in config.degrees)
-        self.shape = (nx, ny, nz)
-        self.bases = tuple(build_gll_basis(n) for n in config.degrees)
-        self.extents = tuple(1.0 / e for e in config.elements)
-        self.op = ElementOperator(self.bases, self.extents)
+        self.block = plan.block_of(self.rank)
+        bases = tuple(build_gll_basis(n) for n in config.degrees)
+        extents = tuple(1.0 / e for e in config.elements)
+        self.op = ElementOperator(bases, extents)
 
-        cx, cy, cz = self.counts
-        f = config.n_fields
-        self._arr_shape = (cz, cy, cx, f, nz, ny, nx)
+        cx, cy, cz = (stop - start for start, stop in self.block)
+        nx, ny, nz = (n + 1 for n in config.degrees)
+        self._arr_shape = (cz, cy, cx, config.n_fields, nz, ny, nx)
         # matvec's output, reused: run_step reads q only until the next matvec
         self._q = np.empty(self._arr_shape)
 
-        # per direction: (minus, plus, lo, hi, left, right), the face
-        # neighbors, the block's boundary planes, and the planes of the
-        # block's own interior interfaces (None with one element along it)
+        # per direction: the halo (minus, plus, lo, hi, left, right), that is
+        # the face neighbors, the block's boundary planes and the planes of
+        # its own interior interfaces (None with one element along it); and,
+        # from the block's global element indices g, the factors of the node
+        # multiplicity, Dirichlet mask and coordinates, each shaped to
+        # broadcast at the direction's element and node axes
         ndim = len(self._arr_shape)
         self._halo = []
-        for ax, (minus, plus) in enumerate(plan.neighbors(self.rank)):
+        self._coordinates = []
+        mult = mask = 1.0
+        for ax, ((start, stop), (minus, plus)) in enumerate(
+            zip(self.block, plan.neighbors(self.rank))
+        ):
             el_ax, node_ax = self._EL_AXIS[ax], self._NODE_AXIS[ax]
             left = right = None
-            if self.counts[ax] > 1:
+            if stop - start > 1:
                 left = _plane_index(ndim, el_ax, slice(None, -1), node_ax, -1)
                 right = _plane_index(ndim, el_ax, slice(1, None), node_ax, 0)
             self._halo.append((
@@ -101,68 +110,28 @@ class RankWorker:
                 left,
                 right,
             ))
-
-        self._build_node_tables()
+            # an element's end nodes are shared with its neighbor along the
+            # axis, save the two on the box walls, where the mask is 0
+            mult_ax = np.ones((stop - start, config.degrees[ax] + 1))
+            mult_ax[:, 0] = mult_ax[:, -1] = 2.0
+            mask_ax = np.ones(mult_ax.shape)
+            if start == 0:
+                mult_ax[0, 0], mask_ax[0, 0] = 1.0, 0.0
+            if stop == config.elements[ax]:
+                mult_ax[-1, -1], mask_ax[-1, -1] = 1.0, 0.0
+            g = np.arange(start, stop)[:, None]
+            coords_ax = (g + (bases[ax].nodes + 1.0) / 2.0) * extents[ax]
+            table = [1] * ndim
+            table[el_ax], table[node_ax] = mult_ax.shape
+            mult = mult * mult_ax.reshape(table)
+            mask = mask * mask_ax.reshape(table)
+            self._coordinates.append(coords_ax.reshape(table))
+        self.inv_mult = np.divide(1.0, mult, out=mult)
+        self.mask = mask
         self.inv_diag = None
         self.rhs = None
 
-    # -- geometry tables ---------------------------------------------------
-
-    def _axis_table(self, axis, fill):
-        """Per-element, per-node factors along one axis via a callback."""
-        (start, stop) = self.block[axis]
-        extent = self.config.elements[axis]
-        npts = self.shape[axis]
-        table = np.ones((stop - start, npts))
-        for local, global_idx in enumerate(range(start, stop)):
-            fill(table[local], global_idx, extent)
-        return table
-
-    def _build_node_tables(self):
-        def mult(vec, idx, extent):
-            if idx > 0:
-                vec[0] = 2.0
-            if idx < extent - 1:
-                vec[-1] = 2.0
-
-        def bound(vec, idx, extent):
-            if idx == 0:
-                vec[0] = 0.0
-            if idx == extent - 1:
-                vec[-1] = 0.0
-
-        mx, my, mz = (self._axis_table(ax, mult) for ax in range(3))
-        self.inv_mult = 1.0 / (
-            mz[:, None, None, None, :, None, None]
-            * my[None, :, None, None, None, :, None]
-            * mx[None, None, :, None, None, None, :]
-        )
-        dx, dy, dz = (self._axis_table(ax, bound) for ax in range(3))
-        self.mask = (
-            dz[:, None, None, None, :, None, None]
-            * dy[None, :, None, None, None, :, None]
-            * dx[None, None, :, None, None, None, :]
-        )
-
-    def _coordinates(self):
-        """Broadcastable global coordinates of the block's nodes."""
-        coords = []
-        for ax in range(3):
-            (start, stop) = self.block[ax]
-            ref = (self.bases[ax].nodes + 1.0) / 2.0
-            h = self.extents[ax]
-            c = (np.arange(start, stop)[:, None] + ref[None, :]) * h
-            coords.append(c)
-        cxc, cyc, czc = coords
-        x = cxc[None, None, :, None, None, None, :]
-        y = cyc[None, :, None, None, None, :, None]
-        z = czc[:, None, None, None, :, None, None]
-        return x, y, z
-
     # -- gather-scatter ----------------------------------------------------
-
-    _EL_AXIS = (2, 1, 0)  # array axis of the element index per direction
-    _NODE_AXIS = (6, 5, 4)  # array axis of the node index per direction
 
     def dssum(self, arr):
         """Direct-stiffness summation: sum all copies of each shared node.
@@ -218,9 +187,8 @@ class RankWorker:
         self.dssum(diag)
         self.inv_diag = 1.0 / diag
 
-        x, y, z = self._coordinates()
         f_vals = np.broadcast_to(
-            forcing(x, y, z), self._arr_shape
+            forcing(*self._coordinates), self._arr_shape
         ).copy()
         b = f_vals * self.op.mass_weights
         self.dssum(b)
@@ -331,14 +299,9 @@ def _rank_main(
         raise
     fields = {}
     if collect_fields:
-        cx, cy, cz = worker.counts
         (x0, _), (y0, _), (z0, _) = worker.block
-        for ez in range(cz):
-            for ey in range(cy):
-                for ex in range(cx):
-                    fields[(x0 + ex, y0 + ey, z0 + ez)] = np.array(
-                        solution[ez, ey, ex]
-                    )
+        for ez, ey, ex in np.ndindex(solution.shape[:3]):
+            fields[(x0 + ex, y0 + ey, z0 + ez)] = np.array(solution[ez, ey, ex])
     return {
         "steps": steps,
         "counter": worker.counter,

@@ -28,6 +28,14 @@ def budget_campaign(**extra):
     }
 
 
+def machine_config(**extra):
+    machine = {
+        "effective_core_rate": 500.0, "link_bandwidth": 12.0,
+        "latency": 60e-6, **extra,
+    }
+    return {**example_config_dict(), "machines": {"m": machine}}
+
+
 def strong_campaign(*p_list):
     return {
         "kind": "strong", "case": "bench8", "machine": "pleiades2-sim",
@@ -176,6 +184,9 @@ class TestBench:
             (budget_campaign(jitter=-0.5), {}),
             (budget_campaign(jitter=float("nan")), {}),
             (budget_campaign(jitter=float("inf")), {}),
+            (budget_campaign(budget_s=True), {}),
+            (budget_campaign(window_s=True), {}),
+            (budget_campaign(jitter=True), {}),
             (strong_campaign("2"), {}),
             (strong_campaign(2.0), {}),
             (strong_campaign(1, 0), {}),
@@ -211,6 +222,7 @@ class TestBench:
         ids=[
             "window_s-zero", "window_s-nan", "budget_s-nan", "budget_s-inf",
             "jitter-negative", "jitter-nan", "jitter-inf",
+            "budget_s-bool", "window_s-bool", "jitter-bool",
             "p_list-string", "p_list-float",
             "p_list-zero", "p_list-bool", "scales-p-zero",
             "scales-elements-zero", "degrees-one", "degrees-string",
@@ -237,10 +249,19 @@ class TestBench:
             ["version"],
             3,
             {**example_config_dict(), "output_dir": 5},
+            machine_config(effective_core_rate=True),
+            machine_config(link_bandwidth=True),
+            machine_config(latency=True),
+            machine_config(link_sharing=True),
+            machine_config(rate_curvature=True),
+            machine_config(cores_per_node=True),
+            machine_config(cores_per_node=2.5),
         ],
         ids=[
             "campaigns-list", "top-level-list", "top-level-number",
-            "output_dir-number",
+            "output_dir-number", "core-rate-bool", "bandwidth-bool",
+            "latency-bool", "link_sharing-bool", "rate_curvature-bool",
+            "cores_per_node-bool", "cores_per_node-fraction",
         ],
     )
     def test_malformed_config_exits_2_without_output(

@@ -5,6 +5,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -193,6 +194,79 @@ class TestDotPartial:
         u, v = rng.standard_normal((2, *worker._arr_shape))
         expected = float(np.sum(u * v * worker.inv_mult))
         assert worker._dot_partial(u, v) == pytest.approx(expected, rel=1e-12)
+
+
+class TestNodeTables:
+    """Multiplicity, Dirichlet mask and coordinates of every rank's block,
+    against oracles built from global indices in the documented layout
+    (cz, cy, cx, f, nz, ny, nx)."""
+
+    config = CaseConfig(elements=(3, 3, 3), degrees=(4, 2, 3), n_fields=2)
+
+    @pytest.fixture(params=[1, 2, 3, 4, 8])
+    def workers(self, request):
+        plan = partition_elements(self.config, request.param)
+        return [
+            RankWorker(self.config, plan, endpoint)
+            for endpoint in loopback_transport(plan.n_ranks)
+        ]
+
+    @staticmethod
+    def on_every_rank(workers, fn):
+        with ThreadPoolExecutor(max_workers=len(workers)) as pool:
+            return list(pool.map(fn, workers))
+
+    def test_multiplicity_is_what_dssum_counts(self, workers):
+        counted = self.on_every_rank(
+            workers, lambda w: w.dssum(np.ones(w._arr_shape))
+        )
+        for worker, count in zip(workers, counted):
+            mult = np.broadcast_to(1.0 / worker.inv_mult, count.shape)
+            assert mult.tobytes() == count.tobytes()
+
+    def global_indices(self, worker):
+        """Per direction, the global element and node index of each node."""
+        ez, ey, ex, _, kz, ky, kx = np.indices(worker.mask.shape)
+        starts = [start for start, _ in worker.block]
+        return [
+            (start + e, k)
+            for start, e, k in zip(starts, (ex, ey, ez), (kx, ky, kz))
+        ]
+
+    def test_mask_zero_exactly_on_the_box_boundary(self, workers):
+        for worker in workers:
+            on_wall = np.zeros(worker.mask.shape, dtype=bool)
+            for (e, k), n_el, degree in zip(
+                self.global_indices(worker),
+                self.config.elements,
+                self.config.degrees,
+            ):
+                on_wall |= (e == 0) & (k == 0)
+                on_wall |= (e == n_el - 1) & (k == degree)
+            expected = np.where(on_wall, 0.0, 1.0)
+            assert worker.mask.tobytes() == expected.tobytes()
+
+    def test_coordinates_at_element_ends(self, workers):
+        def forcing_arguments(worker):
+            seen = []
+            worker.setup(lambda *xyz: seen.extend(xyz) or 0.0)
+            return seen
+
+        for worker, seen in zip(
+            workers, self.on_every_rank(workers, forcing_arguments)
+        ):
+            shape = worker.mask.shape
+            for coords, (e, k), n_el, degree in zip(
+                seen,
+                self.global_indices(worker),
+                self.config.elements,
+                self.config.degrees,
+            ):
+                coords = np.broadcast_to(coords, shape)
+                h = 1.0 / n_el
+                start, end = k == 0, k == degree
+                assert np.array_equal(coords[start], e[start] * h)
+                assert np.array_equal(coords[end], (e[end] + 1) * h)
 
 
 class TestInterfaceCoherence:
