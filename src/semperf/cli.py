@@ -271,11 +271,16 @@ def _read_calibration_table(path):
     if path.suffix.lower() == ".json":
         table = json.loads(text)
     else:
-        # cells are stripped; an empty or missing cell counts as absent
+        # cells are stripped; an empty or missing cell counts as absent.
+        # Only CSV numbers are parsed here: JSON values reach
+        # CalibrationInput as they are, so a JSON bool is refused there
         table = [
             {key: value.strip() for key, value in row.items() if key and value}
             for row in csv.DictReader(text.splitlines())
         ]
+        for row in table:
+            for key in row.keys() & {"t_p", "gamma", "sharing"}:
+                row[key] = float(row[key])
     if not (
         isinstance(table, list) and all(isinstance(row, dict) for row in table)
     ):
@@ -290,10 +295,10 @@ def _read_calibration_table(path):
         rows.append(
             CalibrationInput(
                 name=entry["name"],
-                t_p=float(entry["t_p"]),
-                gamma=float(entry["gamma"]),
+                t_p=entry["t_p"],
+                gamma=entry["gamma"],
                 bandwidth_model=entry["bandwidth_model"],
-                sharing=float(entry.get("sharing", 1.0)),
+                sharing=entry.get("sharing", 1.0),
             )
         )
     return rows
@@ -344,7 +349,7 @@ def cmd_analyze(args):
         )
     if args.cores_per_node is not None:
         samples = [
-            normalize_node_usage(s, args.active_ranks, args.cores_per_node).value
+            normalize_node_usage(s, args.active_ranks, args.cores_per_node)
             for s in samples
         ]
     analysis = analyze_usage_histogram(samples, bin_width=args.bin_width)

@@ -12,7 +12,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 from .counts import MEGA, WORD_BYTES
 from .errors import CalibrationDegenerateError
@@ -20,8 +19,8 @@ from .errors import CalibrationDegenerateError
 
 def _require_finite(**values):
     for name, x in values.items():
-        if isinstance(x, bool):
-            raise ValueError(f"{name} must be a number, not a bool")
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise ValueError(f"{name} must be a number (got {x!r})")
         if not math.isfinite(x):
             raise ValueError(f"{name} must be finite (got {x})")
 
@@ -299,17 +298,12 @@ def calibrate(inputs, base_bandwidth):
     )
 
 
-class NodeUsage(NamedTuple):
-    value: float
-    saturated: bool
-
-
 def normalize_node_usage(raw_node_usage, active_ranks, cores_per_node):
     """Convert node-average CPU usage to per-active-rank usage.
 
     A node monitor averages over all cores, so a node running 2 ranks on 4
     cores at full tilt reads 50%; the per-rank figure is raw * cores /
-    active ranks, capped at 1 with a saturation flag.
+    active ranks, capped at 1.
     """
     if not 0.0 <= raw_node_usage <= 1.0:
         raise ValueError(f"raw usage must lie in [0, 1] (got {raw_node_usage})")
@@ -318,10 +312,7 @@ def normalize_node_usage(raw_node_usage, active_ranks, cores_per_node):
             f"active_ranks must lie in [1, cores_per_node]: "
             f"{active_ranks} vs {cores_per_node}"
         )
-    value = raw_node_usage * cores_per_node / active_ranks
-    if value >= 1.0:
-        return NodeUsage(1.0, True)
-    return NodeUsage(value, False)
+    return min(raw_node_usage * cores_per_node / active_ranks, 1.0)
 
 
 @dataclass(frozen=True)

@@ -124,7 +124,6 @@ class ElementOperator:
         if hx <= 0 or hy <= 0 or hz <= 0:
             raise ValueError(f"element extents must be positive: {extents}")
         self.bases = (bx, by, bz)
-        self.extents = (float(hx), float(hy), float(hz))
         self.shape = (bx.n_points, by.n_points, bz.n_points)
         jac = hx * hy * hz / 8.0
         w3 = (

@@ -43,12 +43,10 @@ def default_solution(x, y, z):
 
 @dataclass
 class WorkUnitReport:
-    """Aggregated result of one executed work unit."""
+    """Result of one executed work unit: its steps' records summed over
+    the ranks, the setup's halo words and, on request, the fields."""
 
     steps: tuple  # StepRecord per step
-    per_rank_flops: tuple  # FlopCounter per rank, whole run
-    per_rank_halo_words_sent: tuple
-    per_rank_halo_words_received: tuple
     setup_halo_words_sent: int
     fields: dict = field(default_factory=dict, repr=False)
 
@@ -266,6 +264,8 @@ def _rank_main(
     forcing,
     collect_fields,
 ):
+    """Run one rank: its step records, its setup halo words, and (with
+    collect_fields) its elements' final fields by global element index."""
     try:
         worker = RankWorker(config, plan, endpoint)
         worker.setup(forcing)
@@ -302,14 +302,7 @@ def _rank_main(
         (x0, _), (y0, _), (z0, _) = worker.block
         for ez, ey, ex in np.ndindex(solution.shape[:3]):
             fields[(x0 + ex, y0 + ey, z0 + ez)] = np.array(solution[ez, ey, ex])
-    return {
-        "steps": steps,
-        "counter": worker.counter,
-        "halo_words_sent": endpoint.tag_words_sent["halo"],
-        "halo_words_received": endpoint.tag_words_received["halo"],
-        "setup_halo_words": setup_halo,
-        "fields": fields,
-    }
+    return steps, setup_halo, fields
 
 
 def run_work_unit(
@@ -358,7 +351,7 @@ def run_work_unit(
         )
     results += [f.result() for f in futures]
     steps = []
-    for per_rank in zip(*(r["steps"] for r in results)):
+    for per_rank in zip(*(rank_steps for rank_steps, _, _ in results)):
         # counts add up, the slowest rank sets the wall time, and every
         # rank agrees with rank 0 on iterations and residual
         steps.append(
@@ -373,17 +366,10 @@ def run_work_unit(
             )
         )
     fields = {}
-    for r in results:
-        fields.update(r["fields"])
+    for _, _, rank_fields in results:
+        fields.update(rank_fields)
     return WorkUnitReport(
         steps=tuple(steps),
-        per_rank_flops=tuple(r["counter"] for r in results),
-        per_rank_halo_words_sent=tuple(
-            r["halo_words_sent"] for r in results
-        ),
-        per_rank_halo_words_received=tuple(
-            r["halo_words_received"] for r in results
-        ),
-        setup_halo_words_sent=sum(r["setup_halo_words"] for r in results),
+        setup_halo_words_sent=sum(setup for _, setup, _ in results),
         fields=fields,
     )

@@ -2,14 +2,15 @@
 
 Endpoints are fully connected through one ``queue.SimpleQueue`` mailbox
 per ordered pair, so message order is preserved between any two ranks and
-delivery is exact (payloads are copied on send).  Word and message
-counters are kept per tag; halo traffic and reduction traffic are tagged
-separately so face exchange accounting stays comparable with the
-partition-module predictions.  ``allreduce_sum`` is one hop: every rank
-sends its partial to every peer and sums all partials in ascending rank
-order, so each rank sends (P-1)*n reduction words per n-word reduction.
-A rank that fails aborts the fabric: every peer blocked on it, or on a
-peer that aborts in turn, raises instead of waiting forever.
+delivery is exact (payloads are copied on send).  Every send and receive
+names its tag, "halo" or "reduce", and a receive refuses a message of
+another tag; the sender counts words and messages per tag, so face
+exchange accounting stays comparable with the partition-module
+predictions.  ``allreduce_sum`` is one hop: every rank sends its partial
+to every peer and sums all partials in ascending rank order, so each rank
+sends (P-1)*n reduction words per n-word reduction.  A rank that fails
+aborts the fabric: every peer blocked on it, or on a peer that aborts in
+turn, raises instead of waiting forever.
 """
 
 import queue
@@ -40,10 +41,9 @@ class LoopbackEndpoint:
         self._queues = queues
         self._barrier = barrier
         self.tag_words_sent = defaultdict(int)
-        self.tag_words_received = defaultdict(int)
         self.tag_messages_sent = defaultdict(int)
 
-    def send(self, peer, payload, tag="halo"):
+    def send(self, peer, payload, tag):
         if peer not in self.peers:
             raise ValueError(f"rank {self.rank} has no peer {peer}")
         data = np.array(payload, dtype=float, copy=True)
@@ -51,8 +51,8 @@ class LoopbackEndpoint:
         self.tag_messages_sent[tag] += 1
         self._queues[self.rank, peer].put((tag, data))
 
-    def receive(self, peer, tag=None, timeout=None):
-        """Next message from peer; with tag set, it must carry that tag."""
+    def receive(self, peer, tag, timeout=None):
+        """Next message from peer, which must carry the given tag."""
         if peer not in self.peers:
             raise ValueError(f"rank {self.rank} has no peer {peer}")
         try:
@@ -64,12 +64,11 @@ class LoopbackEndpoint:
         if item is _ABORT:
             raise TransportAborted(f"rank {peer} aborted the transport")
         got, data = item
-        if tag is not None and got != tag:
+        if got != tag:
             raise ValueError(
                 f"rank {self.rank} expected a {tag!r} message from rank "
                 f"{peer}, got {got!r}"
             )
-        self.tag_words_received[got] += data.size
         return data
 
     def barrier(self, timeout=None):

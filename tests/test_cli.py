@@ -21,6 +21,20 @@ pleiades2plus,7.93,1.60,scaled_shared,4
 """
 
 
+def calibration_rows(**pleiades):
+    """The three-cluster table as JSON rows, pleiades' values replaced."""
+    rows = [
+        {"name": "pleiades", "t_p": 13.58, "gamma": 1.44,
+         "bandwidth_model": "base", "sharing": 1},
+        {"name": "pleiades2", "t_p": 7.56, "gamma": 3.81,
+         "bandwidth_model": "scaled", "sharing": 1},
+        {"name": "pleiades2plus", "t_p": 7.93, "gamma": 1.60,
+         "bandwidth_model": "scaled_shared", "sharing": 4},
+    ]
+    rows[0].update(pleiades)
+    return rows
+
+
 def budget_campaign(**extra):
     return {
         "kind": "time_budget", "case": "bench8", "machine": "pleiades2-sim",
@@ -400,20 +414,19 @@ class TestCalibrate:
         assert "alpha" in out
 
     def test_json_input(self, tmp_path):
-        rows = [
-            {"name": "a", "t_p": 13.58, "gamma": 1.44, "bandwidth_model": "base"},
-            {"name": "b", "t_p": 7.56, "gamma": 3.81, "bandwidth_model": "scaled"},
-            {
-                "name": "c",
-                "t_p": 7.93,
-                "gamma": 1.60,
-                "bandwidth_model": "scaled_shared",
-                "sharing": 4,
-            },
-        ]
-        table = tmp_path / "gamma.json"
-        table.write_text(json.dumps(rows), encoding="utf-8")
-        assert main(["calibrate", str(table), "--out", str(tmp_path / "f.json")]) == 0
+        # JSON numbers, an integer sharing included, reach the fit as they
+        # are and give the CSV table's fit byte for byte
+        fits = []
+        for name, text in [
+            ("gamma.csv", CALIBRATION_CSV),
+            ("gamma.json", json.dumps(calibration_rows())),
+        ]:
+            table = tmp_path / name
+            table.write_text(text, encoding="utf-8")
+            out = tmp_path / f"{name}.fit"
+            assert main(["calibrate", str(table), "--out", str(out)]) == 0
+            fits.append(out.read_bytes())
+        assert fits[0] == fits[1]
 
     def test_two_rows_degenerate(self, tmp_path, capsys):
         table = tmp_path / "short.csv"
@@ -455,10 +468,13 @@ class TestCalibrate:
             {"a": 1},
             [{"name": "a", "t_p": None, "gamma": 1, "bandwidth_model": "base"}],
             [{"name": ["a"], "t_p": 1, "gamma": 1, "bandwidth_model": "base"}],
+            calibration_rows(t_p=True),
+            calibration_rows(gamma=True),
+            calibration_rows(sharing=True),
         ],
         ids=[
             "rows-not-objects", "top-level-object", "null-value",
-            "name-not-a-string",
+            "name-not-a-string", "t_p-bool", "gamma-bool", "sharing-bool",
         ],
     )
     def test_malformed_json_table_exits_2_without_writing_a_fit(

@@ -352,17 +352,18 @@ class TestUsageAnalysis:
 
 class TestNormalizeNodeUsage:
     def test_half_usage_two_of_four_ranks_saturates(self):
-        usage = normalize_node_usage(0.5, active_ranks=2, cores_per_node=4)
-        assert usage.value == 1.0
-        assert usage.saturated
+        assert normalize_node_usage(0.5, active_ranks=2, cores_per_node=4) == 1.0
+
+    def test_usage_above_one_is_capped(self):
+        # 0.75 * 4 / 2 = 1.5 per rank reads as full usage
+        assert normalize_node_usage(0.75, active_ranks=2, cores_per_node=4) == 1.0
 
     def test_full_occupancy_passthrough(self):
         usage = normalize_node_usage(0.8725, active_ranks=4, cores_per_node=4)
-        assert usage.value == pytest.approx(0.8725)
-        assert not usage.saturated
+        assert usage == pytest.approx(0.8725)
 
     def test_zero_raw(self):
-        assert normalize_node_usage(0.0, 1, 4).value == 0.0
+        assert normalize_node_usage(0.0, 1, 4) == 0.0
 
     def test_zero_ranks_invalid(self):
         with pytest.raises(ValueError):
