@@ -3,6 +3,7 @@
 
 Run from the repository root after changing the flop/word accounting or the
 reference tables; paste the printed constants into semperf/profiles.py.
+scripts/model_validation.py prints the fitted profiles against the tables.
 
 Two fits:
   1. The strong-scaling twin: pick the CG budget so one step of the 8^3,
@@ -16,8 +17,9 @@ Two fits:
      to the measured per-rank rates.
 """
 
+from itertools import combinations
+
 import numpy as np
-from scipy.optimize import minimize
 
 from semperf.counts import (
     MEGA,
@@ -50,45 +52,47 @@ def pick_iteration_budget():
 
 
 def fit_strong_profile(case):
+    """Exact minimax fit of (bandwidth, latency) to the efficiency targets.
+
+    With u = 1/bandwidth and v = latency, every P has 1/E - 1 = a*u + b*v,
+    where a and b are T_C/T_P and T_L/T_P at unit bandwidth and latency.
+    A bound h on every |E - target| so confines (u, v) to a polygon, which
+    is nonempty iff one of its vertices meets every bound; bisection on h
+    finds the least bound and its vertex.
+    """
     # the core rate that puts the single-rank step at the measured time
     rate = step_flops(case, 1) / (STRONG_SCALING_ROWS[0][2] * MEGA)
-    points = [
-        (p, target, *point_counts(case, p)[1:])
-        for p, target in sorted(STRONG_EFFICIENCY_TARGETS.items())
-    ]
+    unit = MachineProfile("strong-fit", rate, 1.0, 1.0)
+    coef = []
+    for p in STRONG_EFFICIENCY_TARGETS:
+        _, app, messages = point_counts(case, p)
+        td = predict_time(unit, app, p, messages)
+        coef.append((td.t_c / td.t_p, td.t_l / td.t_p))
+    targets = np.array(list(STRONG_EFFICIENCY_TARGETS.values()))
+    # half-planes rows @ (u, v) <= bound: the upper and lower bound on
+    # 1/E - 1 of every P, then u >= 0 and v >= 0
+    rows = np.vstack([coef, np.negative(coef), -np.eye(2)])
 
-    def efficiencies(bw_mbs, lat_s):
-        machine = MachineProfile("strong-fit", rate, bw_mbs, lat_s)
-        effs = {}
-        for p, _, app, msgs in points:
-            td = predict_time(machine, app, p, msgs)
-            effs[p] = td.t_p / td.total
-        return effs
-
-    def worst(params):
-        bw, lat = np.exp(params)
-        effs = efficiencies(bw, lat)
-        return max(
-            abs(effs[p] - t) for p, t, _, _ in points
+    def vertex(h):
+        bound = np.concatenate(
+            [1 / (targets - h) - 1, 1 - 1 / (targets + h), [0.0, 0.0]]
         )
+        for pair in map(list, combinations(range(len(rows)), 2)):
+            if abs(np.linalg.det(rows[pair])) > 1e-12:
+                x = np.linalg.solve(rows[pair], bound[pair])
+                if np.all(rows @ x <= bound + 1e-12):
+                    return x
+        return None
 
-    best = None
-    for bw0 in (5.0, 20.0, 30.0, 60.0):
-        for lat0 in (1e-6, 3e-6, 1e-5):
-            res = minimize(
-                worst,
-                np.log([bw0, lat0]),
-                method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000},
-            )
-            if best is None or res.fun < best.fun:
-                best = res
-    bw, lat = np.exp(best.x)
-    effs = efficiencies(bw, lat)
+    # u = v = 0 (E = 1 everywhere) meets the bound 1 - min(targets)
+    lo, hi = 0.0, 1.0 - targets.min()
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if vertex(mid) is not None else (mid, hi)
+    u, lat = vertex(hi)
+    bw = 1 / u
     print(f"strong-scaling fit: bandwidth = {bw:.6f} MB/s, latency = {lat:.6e} s")
-    print(f"  worst deviation = {best.fun:.4f}")
-    for p, target, _, _ in points:
-        print(f"  P={p:3d}  model E = {effs[p]:.4f}  target = {target:.2f}")
+    print(f"  worst deviation = {hi:.4f}")
     return bw, lat
 
 
@@ -106,8 +110,6 @@ def fit_degree_rates():
     c = float(cs[int(np.argmin(errs))])
     peak, err = resid(c)
     print(f"degree-rate fit: peak = {peak:.4f} MFlop/s, curvature = {c:.6f}")
-    for n, rate, _ in DEGREE_SWEEP_ROWS:
-        print(f"  N={n:2d}  model = {peak * (1 - c / (n + 1)):7.1f}  measured = {rate}")
     return peak, c
 
 

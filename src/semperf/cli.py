@@ -108,7 +108,7 @@ class ToolConfig:
                 )
             where = "output_dir"
             output_dir = Path(raw.get("output_dir", "semperf-out"))
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
             detail = (
                 f"missing or unknown key {exc}"
                 if isinstance(exc, KeyError)
@@ -184,7 +184,6 @@ def cmd_bench(args):
     spec = replace(
         config.campaigns[args.campaign], mode=args.mode, seed=args.seed
     )
-    out_dir = config.ensure_output_dir(args.out)
     try:
         records = run_campaign(spec)
     except (SemperfError, ValueError) as exc:
@@ -192,7 +191,7 @@ def cmd_bench(args):
             f"campaign {args.campaign!r} failed: {exc}", file=sys.stderr
         )
         return EXIT_RUN
-    base = out_dir / args.campaign
+    base = config.ensure_output_dir(args.out) / args.campaign
     if "json" in config.formats:
         (base.parent / f"{base.name}_records.json").write_text(
             records_to_json(records), encoding="utf-8"
@@ -451,7 +450,9 @@ def main(argv=None):
     except SemperfError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUN
-    except (InputError, ValueError, TypeError, KeyError, OSError) as exc:
+    except (
+        InputError, ValueError, TypeError, KeyError, OverflowError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -28,7 +28,9 @@ STRONG_SCALING_ROWS = (
 )
 
 # Strong-scaling efficiency targets used by the simulated-profile fit.
-STRONG_EFFICIENCY_TARGETS = {2: 0.98, 8: 0.88, 16: 0.82, 32: 0.70}
+STRONG_EFFICIENCY_TARGETS = {
+    p: e for p, _, _, e in STRONG_SCALING_ROWS if p in (2, 8, 16, 32)
+}
 
 # Degree sweep at P=4 on an 8^3 mesh: (N, MFlop/s per rank, seconds).
 DEGREE_SWEEP_ROWS = (

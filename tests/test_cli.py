@@ -35,6 +35,16 @@ def calibration_rows(**pleiades):
     return rows
 
 
+# an integer too large for any float
+HUGE = 10**400
+
+
+def huge_iterations_cases():
+    cases = example_config_dict()["cases"]
+    cases["bench8"]["cg_iters_per_step"] = HUGE
+    return cases
+
+
 def budget_campaign(**extra):
     return {
         "kind": "time_budget", "case": "bench8", "machine": "pleiades2-sim",
@@ -232,6 +242,8 @@ class TestBench:
             ({**strong_campaign(1, 2), "case": [1]}, {}),
             (strong_campaign(1, 2), {"machines": []}),
             (strong_campaign(1, 2), {"cases": [1]}),
+            (budget_campaign(budget_s=HUGE), {}),
+            (strong_campaign(1, 2), {"cases": huge_iterations_cases()}),
         ],
         ids=[
             "window_s-zero", "window_s-nan", "budget_s-nan", "budget_s-inf",
@@ -242,6 +254,7 @@ class TestBench:
             "scales-elements-zero", "degrees-one", "degrees-string",
             "campaign-not-an-object", "formats-string", "formats-unknown",
             "case-not-a-name", "machines-list", "cases-list",
+            "budget_s-huge", "iterations-huge",
         ],
     )
     def test_malformed_campaign_exits_2_without_output(
@@ -270,12 +283,14 @@ class TestBench:
             machine_config(rate_curvature=True),
             machine_config(cores_per_node=True),
             machine_config(cores_per_node=2.5),
+            machine_config(latency=HUGE),
         ],
         ids=[
             "campaigns-list", "top-level-list", "top-level-number",
             "output_dir-number", "core-rate-bool", "bandwidth-bool",
             "latency-bool", "link_sharing-bool", "rate_curvature-bool",
             "cores_per_node-bool", "cores_per_node-fraction",
+            "latency-huge",
         ],
     )
     def test_malformed_config_exits_2_without_output(
@@ -390,6 +405,17 @@ class TestPredict:
         assert captured.out == ""
         assert captured.err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["-E", str(HUGE), "1", "1"], ["--iters", str(HUGE)]],
+        ids=["elements-huge", "iters-huge"],
+    )
+    def test_huge_counts_exit_2_without_output(self, capsys, extra):
+        assert main(["predict", "--machine", "pleiades2", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_table_output(self, capsys):
         code = main(["predict", "--machine", "pleiades2", "-P", "4"])
         assert code == 0
@@ -471,10 +497,12 @@ class TestCalibrate:
             calibration_rows(t_p=True),
             calibration_rows(gamma=True),
             calibration_rows(sharing=True),
+            calibration_rows(t_p=HUGE),
         ],
         ids=[
             "rows-not-objects", "top-level-object", "null-value",
             "name-not-a-string", "t_p-bool", "gamma-bool", "sharing-bool",
+            "t_p-huge",
         ],
     )
     def test_malformed_json_table_exits_2_without_writing_a_fit(

@@ -1,5 +1,5 @@
-"""The scripts in scripts/ run, and tune_profiles.py reproduces the constants
-frozen in semperf/profiles.py."""
+"""model_validation.py prints a table per measured table, and
+tune_profiles.py reproduces the constants frozen in semperf/profiles.py."""
 
 import os
 import re
@@ -7,9 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from semperf import profiles
+from semperf import profiles, refdata
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,16 +24,21 @@ def run_script(name):
     return proc.stdout
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "interconnect_fit.py",
-        "strong_scaling_report.py",
-        "usage_histogram_demo.py",
-    ],
-)
-def test_script_runs(name):
-    assert run_script(name)
+def test_model_validation_prints_every_table():
+    # paragraphs of a title line, a header line and one line per row
+    rows = {}
+    for paragraph in run_script("model_validation.py").split("\n\n"):
+        title, *lines = paragraph.strip().splitlines()
+        rows[title.split(":")[0]] = len(lines) - 1
+    expected = {
+        "Strong scaling": len(refdata.STRONG_SCALING_ROWS),
+        "Weak scaling, 4 ranks per node": len(refdata.WEAK_SCALING_4_PER_NODE),
+        "Weak scaling, 2 ranks per node": len(refdata.WEAK_SCALING_2_PER_NODE),
+        "Degree sweep": len(refdata.DEGREE_SWEEP_ROWS),
+        "Interconnect": len(refdata.INTERCONNECT_ROWS),
+        "Usage": len(refdata.USAGE_GAMMA_PAIRS),
+    }
+    assert {title: rows.get(title) for title in expected} == expected
 
 
 def test_tune_profiles_reproduces_frozen_constants():
