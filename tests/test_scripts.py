@@ -1,11 +1,14 @@
-"""model_validation.py prints a table per measured table, and
-tune_profiles.py reproduces the constants frozen in semperf/profiles.py."""
+"""model_validation.py prints a table per measured table, including the
+tables of the one-table scripts it replaced, and tune_profiles.py
+reproduces the constants frozen in semperf/profiles.py."""
 
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from semperf import profiles, refdata
 
@@ -24,12 +27,39 @@ def run_script(name):
     return proc.stdout
 
 
-def test_model_validation_prints_every_table():
-    # paragraphs of a title line, a header line and one line per row
+def report_rows():
+    """Rows per section title of model_validation.py's report, which is
+    paragraphs of a title line, a header line and one line per row."""
     rows = {}
     for paragraph in run_script("model_validation.py").split("\n\n"):
         title, *lines = paragraph.strip().splitlines()
         rows[title.split(":")[0]] = len(lines) - 1
+    return rows
+
+
+# The report sections that took the place of the one-table scripts once in
+# scripts/, by the name of the script each replaces.
+FORMER_SCRIPTS = {
+    "interconnect_fit.py": {"Interconnect": len(refdata.INTERCONNECT_ROWS)},
+    "strong_scaling_report.py": {
+        "Strong scaling": len(refdata.STRONG_SCALING_ROWS)
+    },
+    "usage_histogram_demo.py": {
+        "Usage": len(refdata.USAGE_GAMMA_PAIRS),
+        "Simulated 10 h monitored run, P=8": -1,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMER_SCRIPTS))
+def test_script_runs(name):
+    rows = report_rows()
+    expected = FORMER_SCRIPTS[name]
+    assert {title: rows.get(title) for title in expected} == expected
+
+
+def test_model_validation_prints_every_table():
+    rows = report_rows()
     expected = {
         "Strong scaling": len(refdata.STRONG_SCALING_ROWS),
         "Weak scaling, 4 ranks per node": len(refdata.WEAK_SCALING_4_PER_NODE),
