@@ -191,7 +191,12 @@ _STEP_FIELDS = {
 
 
 def _step_json_dict(step):
-    return {key: getattr(step, attr) for key, attr in _STEP_FIELDS.items()}
+    d = {key: getattr(step, attr) for key, attr in _STEP_FIELDS.items()}
+    # executed steps only: a modeled step has no reduction count, and its
+    # JSON keeps the bytes it had before the key existed
+    if step.reduce_words_sent is not None:
+        d["reduce_words"] = step.reduce_words_sent
+    return d
 
 
 def point_counts(case, n_ranks):
@@ -412,7 +417,10 @@ def records_to_steps_csv(records):
                 {
                     "P": rec.n_ranks,
                     "step": i,
-                    **{k: _fmt(v) for k, v in _step_json_dict(s).items()},
+                    **{
+                        key: _fmt(getattr(s, attr))
+                        for key, attr in _STEP_FIELDS.items()
+                    },
                 }
             )
     return buf.getvalue()

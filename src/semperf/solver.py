@@ -125,7 +125,11 @@ class RankWorker:
             mask = mask * mask_ax.reshape(table)
             self._coordinates.append(coords_ax.reshape(table))
         self.inv_mult = np.divide(1.0, mult, out=mult)
-        self.mask = mask
+        # keep the Dirichlet mask as the flat indices of the box-wall nodes,
+        # where it is 0 (on 8^3 elements, N=8, P=1: 242 KB, not 3 MB)
+        self._walls = np.flatnonzero(
+            np.broadcast_to(mask, self._arr_shape) == 0.0
+        )
         self.inv_diag = None
         self.rhs = None
 
@@ -172,26 +176,38 @@ class RankWorker:
     def matvec(self, p):
         q = self.op.apply_grid(p, counter=self.counter, out=self._q)
         self.dssum(q)
-        q *= self.mask
+        # the Dirichlet mask: the same bits as q * mask, -0.0 included
+        q.reshape(-1)[self._walls] *= 0.0
         return q
 
     # -- setup ---------------------------------------------------------------
 
     def setup(self, forcing=None):
         forcing = forcing or default_forcing
-        diag = np.broadcast_to(
-            self.op.diagonal_grid(), self._arr_shape
-        ).copy()
-        self.dssum(diag)
-        self.inv_diag = 1.0 / diag
-
-        f_vals = np.broadcast_to(
+        # evaluate the per-element diagonal and the load before the first
+        # full-size copy: numpy keeps freed buffers under 1 KB cached for
+        # the life of the process, and one first allocated between two
+        # full-size arrays left a hole in the heap that the next work
+        # unit's arrays did not fit (fixed-p1 peak RSS 64.2 MB, not
+        # 62.8 MB, under some environment variables and checkout paths)
+        el_diag = self.op.diagonal_grid()
+        b = np.broadcast_to(
             forcing(*self._coordinates), self._arr_shape
         ).copy()
-        b = f_vals * self.op.mass_weights
+        b *= self.op.mass_weights
         self.dssum(b)
-        b *= self.mask
+        b.reshape(-1)[self._walls] *= 0.0
         self.rhs = b
+
+        diag = np.broadcast_to(el_diag, self._arr_shape).copy()
+        self.dssum(diag)
+        self.inv_diag = np.divide(1.0, diag, out=diag)
+
+        # the CG vectors, allocated last so that they can take the memory
+        # that setup's temporaries gave back
+        self._x, self._r, self._z, self._p = (
+            np.empty(self._arr_shape) for _ in range(4)
+        )
 
     # -- the work step -------------------------------------------------------
 
@@ -199,16 +215,19 @@ class RankWorker:
         if max_iters is None:
             max_iters = self.config.cg_iters_per_step
         size = self.rhs.size
-        x = np.zeros_like(self.rhs)
-        r = self.rhs.copy()
-        z = self.inv_diag * r
+        # the worker's own x, r, z and p, reset to the same bits as fresh
+        # arrays: run_step returns x, and the next step overwrites it
+        x, r, z, p = self._x, self._r, self._z, self._p
+        x.fill(0.0)
+        np.copyto(r, self.rhs)
+        np.multiply(self.inv_diag, r, out=z)
         self.counter.count(mul=size)
         rho, rr = self._allreduce(
             self._dot_partial(r, z), self._dot_partial(r, r)
         )
         rr0 = rr if rr > 0 else 1.0
         threshold = (rtol * rtol) * rr0 if rtol is not None else None
-        p = z.copy()
+        np.copyto(p, z)
         iters = 0
         while iters < max_iters:
             # rho reaches 0, exactly or by underflow, once r vanishes: the

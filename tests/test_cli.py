@@ -91,6 +91,13 @@ class TestBench:
         assert (out / "strong8_records.json").exists()
         assert (out / "strong8_summary.csv").exists()
         assert (out / "strong8_steps.csv").exists()
+        # a modeled step counts no reductions, so its record has no key
+        records = json.loads((out / "strong8_records.json").read_text())
+        assert all(
+            "reduce_words" not in step
+            for rec in records
+            for step in rec["steps"]
+        )
         stdout = capsys.readouterr().out
         assert "efficiency" in stdout
         assert "32" in stdout
@@ -159,6 +166,13 @@ class TestBench:
         )
         assert all(d["mode"] == "exec" for d in data)
         assert all(d["steps"][0]["walltime_s"] > 0 for d in data)
+        # each rank sends its P - 1 peers 2 reduction words before the
+        # loop and 3 per iteration
+        for d in data:
+            p = d["n_ranks"]
+            for step in d["steps"]:
+                k = step["iterations"]
+                assert step["reduce_words"] == p * (p - 1) * (3 * k + 2)
 
     def test_unknown_campaign_is_config_error(self, config_path):
         assert main(["bench", "nope", "--config", str(config_path)]) == 2
