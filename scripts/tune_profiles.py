@@ -65,8 +65,8 @@ def fit_strong_profile(case):
     unit = MachineProfile("strong-fit", rate, 1.0, 1.0)
     coef = []
     for p in STRONG_EFFICIENCY_TARGETS:
-        _, app, messages = point_counts(case, p)
-        td = predict_time(unit, app, p, messages)
+        _, flops, words, messages = point_counts(case, p)
+        td = predict_time(unit, max(case.degrees), p, flops, words, messages)
         coef.append((td.t_c / td.t_p, td.t_l / td.t_p))
     targets = np.array(list(STRONG_EFFICIENCY_TARGETS.values()))
     # half-planes rows @ (u, v) <= bound: the upper and lower bound on

@@ -11,7 +11,7 @@ represented by ``math.inf``.
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .counts import MEGA, WORD_BYTES
 from .errors import CalibrationDegenerateError
@@ -40,7 +40,6 @@ class MachineProfile:
     effective_core_rate: float
     link_bandwidth: float
     latency: float
-    cores_per_node: int = 1
     link_sharing: float = 1.0
     rate_curvature: float = 0.0
 
@@ -58,15 +57,6 @@ class MachineProfile:
             raise ValueError("latency must be >= 0")
         if self.link_sharing < 1:
             raise ValueError("link_sharing must be >= 1")
-        if not (
-            isinstance(self.cores_per_node, numbers.Integral)
-            and not isinstance(self.cores_per_node, bool)
-            and self.cores_per_node >= 1
-        ):
-            raise ValueError(
-                f"cores_per_node must be an integer >= 1 "
-                f"(got {self.cores_per_node!r})"
-            )
 
     @property
     def per_rank_bandwidth(self):
@@ -79,14 +69,6 @@ class MachineProfile:
                 f"rate model of {self.name} degenerates at degree {degree}"
             )
         return self.effective_core_rate * scale
-
-    def at_degree(self, degree):
-        """Profile with the degree-dependent rate folded in."""
-        return replace(
-            self,
-            effective_core_rate=self.rate_at_degree(degree),
-            rate_curvature=0.0,
-        )
 
 
 @dataclass(frozen=True)
@@ -124,17 +106,13 @@ def gamma_from_times(decomp):
     return decomp.t_p / denom
 
 
-def predict_time(machine, app, p, messages_per_step):
-    """Model the per-step time decomposition for P ranks of a machine."""
+def predict_time(machine, degree, p, flops, words, messages):
+    """Model one step of P ranks at a polynomial degree from its counts."""
     if p < 1:
         raise ValueError("P must be >= 1")
-    t_p = app.flops_per_step / (p * machine.effective_core_rate * MEGA)
-    t_c = (
-        app.words_per_step
-        * WORD_BYTES
-        / (p * machine.per_rank_bandwidth * MEGA)
-    )
-    t_l = messages_per_step * machine.latency
+    t_p = flops / (p * machine.rate_at_degree(degree) * MEGA)
+    t_c = words * WORD_BYTES / (p * machine.per_rank_bandwidth * MEGA)
+    t_l = messages * machine.latency
     return TimeDecomposition(t_p=t_p, t_c=t_c, t_l=t_l)
 
 

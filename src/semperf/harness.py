@@ -15,15 +15,20 @@ from dataclasses import asdict, dataclass, replace
 
 from .counts import MEGA, CaseConfig, StepRecord, step_flops
 from .gamma import gamma_from_times, predict_time
-from .partition import (
-    AppProfile,
-    partition_elements,
-    words_per_step,
-)
+from .partition import partition_elements, words_per_step
 
 CAMPAIGN_KINDS = ("strong", "weak", "degree_sweep", "time_budget")
 DEFAULT_WINDOW_S = 20.0
 DEFAULT_JITTER = 0.02
+
+
+def _is_int_at_least(x, low):
+    # a JSON true is an int to Python, so bools are refused explicitly
+    return (
+        isinstance(x, numbers.Integral)
+        and not isinstance(x, bool)
+        and x >= low
+    )
 
 
 @dataclass(frozen=True)
@@ -48,14 +53,14 @@ class CampaignSpec:
         if self.mode not in ("sim", "exec"):
             raise ValueError(f"mode must be sim or exec (got {self.mode!r})")
         for p in (*self.p_list, *(p for _, p in self.weak_scales)):
-            if not (
-                isinstance(p, numbers.Integral)
-                and not isinstance(p, bool)
-                and p >= 1
-            ):
+            if not _is_int_at_least(p, 1):
                 raise ValueError(
                     f"rank counts must be integers >= 1 (got {p!r})"
                 )
+        if not _is_int_at_least(self.seed, 0):
+            raise ValueError(
+                f"seed must be an integer >= 0 (got {self.seed!r})"
+            )
         if self.kind == "strong" and not self.p_list:
             raise ValueError("strong scaling needs a p_list")
         if self.kind == "weak":
@@ -200,26 +205,25 @@ def _step_json_dict(step):
 
 
 def point_counts(case, n_ranks):
-    """Partition plan, per-step work and traffic, and messages per step."""
+    """Partition plan, then flops, halo words and messages of one step."""
     plan = partition_elements(case, n_ranks)
-    app = AppProfile(
-        step_flops(case, n_ranks),
-        words_per_step(plan, case, case.cg_iters_per_step),
-    )
-    return plan, app, plan.messages_per_exchange * case.cg_iters_per_step
+    flops = step_flops(case, n_ranks)
+    words = words_per_step(plan, case, case.cg_iters_per_step)
+    messages = plan.messages_per_exchange * case.cg_iters_per_step
+    return plan, flops, words, messages
 
 
 def model_point(case, machine, n_ranks, seed=0):
     """Model one scaling point: counts, then T_P/T_C/T_L, then Gamma, E, S."""
-    plan, app, messages = point_counts(case, n_ranks)
+    plan, flops, words, messages = point_counts(case, n_ranks)
     td = predict_time(
-        machine.at_degree(max(case.degrees)), app, n_ranks, messages
+        machine, max(case.degrees), n_ranks, flops, words, messages
     )
     eff = td.t_p / td.total
     step = StepRecord(
         iterations=case.cg_iters_per_step,
-        flops=app.flops_per_step,
-        halo_words_sent=app.words_per_step,
+        flops=flops,
+        halo_words_sent=words,
         halo_messages=messages,
         walltime=td.total,
         t_p=td.t_p,

@@ -153,11 +153,3 @@ def words_per_step(plan, config, exchanges_per_step):
     if exchanges_per_step < 0:
         raise ValueError("exchanges_per_step must be >= 0")
     return exchanges_per_step * words_per_exchange(plan, config)
-
-
-@dataclass(frozen=True)
-class AppProfile:
-    """Per-step application profile: counted work and interface traffic."""
-
-    flops_per_step: int
-    words_per_step: int

@@ -45,14 +45,12 @@ def builtin_profiles():
             effective_core_rate=_strong_sim_rate(),
             link_bandwidth=_SIM_BANDWIDTH_MBS,
             latency=_SIM_LATENCY_S,
-            cores_per_node=1,
         ),
         "cray-xt3-sim": MachineProfile(
             name="cray-xt3-sim",
             effective_core_rate=_XT3_PEAK_MFLOPS,
             link_bandwidth=1100.0,
             latency=5e-6,
-            cores_per_node=2,
             rate_curvature=_XT3_RATE_CURVATURE,
         ),
         "pleiades": MachineProfile(
@@ -60,21 +58,18 @@ def builtin_profiles():
             effective_core_rate=500.0,
             link_bandwidth=12.0,
             latency=60e-6,
-            cores_per_node=1,
         ),
         "pleiades2": MachineProfile(
             name="pleiades2",
             effective_core_rate=638.0,
             link_bandwidth=101.0,
             latency=60e-6,
-            cores_per_node=1,
         ),
         "pleiades2plus": MachineProfile(
             name="pleiades2plus",
             effective_core_rate=700.0,
             link_bandwidth=101.0,
             latency=60e-6,
-            cores_per_node=4,
             link_sharing=4.0,
         ),
     }

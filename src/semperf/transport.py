@@ -3,25 +3,25 @@
 Endpoints are fully connected through one ``queue.SimpleQueue`` mailbox
 per ordered pair, so message order is preserved between any two ranks and
 delivery is exact (payloads are copied on send).  Every send and receive
-names its tag, "halo" or "reduce", and a receive refuses a message of
-another tag; the sender counts words and messages per tag, so face
-exchange accounting stays comparable with the partition-module
+names its tag, "halo", "reduce" or "barrier", and a receive refuses a
+message of another tag; the sender counts words and messages per tag, so
+face exchange accounting stays comparable with the partition-module
 predictions.  ``allreduce_sum`` is one hop: every rank sends its partial
 to every peer and sums all partials in ascending rank order, so each rank
-sends (P-1)*n reduction words per n-word reduction.  A rank that fails
-aborts the fabric: every peer blocked on it, or on a peer that aborts in
-turn, raises instead of waiting forever.
+sends (P-1)*n reduction words per n-word reduction.  A barrier is the same
+pattern with empty payloads, so every wait is a mailbox receive.  A rank
+that fails aborts the fabric: every peer blocked on it, or on a peer that
+aborts in turn, raises instead of waiting forever.
 """
 
 import queue
-import threading
 from collections import defaultdict
 
 import numpy as np
 
 
 class TransportTimeout(Exception):
-    """A receive or barrier wait expired before its peers showed up."""
+    """A receive waited longer than its timeout for a peer's message."""
 
 
 class TransportAborted(Exception):
@@ -34,12 +34,11 @@ _ABORT = object()  # queue marker of an aborted sender; never counted
 class LoopbackEndpoint:
     """One rank's view of the shared loopback fabric."""
 
-    def __init__(self, rank, n_ranks, queues, barrier):
+    def __init__(self, rank, n_ranks, queues):
         self.rank = rank
         self.n_ranks = n_ranks
         self.peers = frozenset(r for r in range(n_ranks) if r != rank)
         self._queues = queues
-        self._barrier = barrier
         self.tag_words_sent = defaultdict(int)
         self.tag_messages_sent = defaultdict(int)
 
@@ -72,20 +71,17 @@ class LoopbackEndpoint:
         return data
 
     def barrier(self, timeout=None):
-        try:
-            self._barrier.wait(timeout=timeout)
-        except threading.BrokenBarrierError:
-            self._barrier.reset()
-            raise TransportTimeout(
-                f"barrier broken or timed out at rank {self.rank}"
-            ) from None
+        """Return once every peer has entered its matching barrier."""
+        for peer in self.peers:
+            self.send(peer, np.empty(0), tag="barrier")
+        for peer in self.peers:
+            self.receive(peer, tag="barrier", timeout=timeout)
 
     def abort(self):
         """Make each peer's next receive from this rank raise
-        TransportAborted, and break the barrier for every rank."""
+        TransportAborted."""
         for peer in self.peers:
             self._queues[self.rank, peer].put(_ABORT)
-        self._barrier.abort()
 
 
 def loopback_transport(n_ranks):
@@ -98,11 +94,7 @@ def loopback_transport(n_ranks):
         for dst in range(n_ranks)
         if src != dst
     }
-    barrier = threading.Barrier(n_ranks)
-    return [
-        LoopbackEndpoint(rank, n_ranks, queues, barrier)
-        for rank in range(n_ranks)
-    ]
+    return [LoopbackEndpoint(rank, n_ranks, queues) for rank in range(n_ranks)]
 
 
 def allreduce_sum(endpoint, values):

@@ -295,15 +295,12 @@ class TestBench:
             machine_config(latency=True),
             machine_config(link_sharing=True),
             machine_config(rate_curvature=True),
-            machine_config(cores_per_node=True),
-            machine_config(cores_per_node=2.5),
             machine_config(latency=HUGE),
         ],
         ids=[
             "campaigns-list", "top-level-list", "top-level-number",
             "output_dir-number", "core-rate-bool", "bandwidth-bool",
             "latency-bool", "link_sharing-bool", "rate_curvature-bool",
-            "cores_per_node-bool", "cores_per_node-fraction",
             "latency-huge",
         ],
     )
@@ -316,6 +313,34 @@ class TestBench:
         assert main(["bench", "strong8", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: config")
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_machine_naming_cores_per_node_exits_2_without_output(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # node sharing enters the model through link_sharing alone
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            json.dumps(machine_config(cores_per_node=4)), encoding="utf-8"
+        )
+        assert main(["bench", "strong8", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config")
+        assert "machine 'm'" in err and "cores_per_node" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("campaign", ["strong8", "usage10h"])
+    def test_negative_seed_exits_2_without_output(
+        self, config_path, tmp_path, capsys, campaign
+    ):
+        code = main(
+            ["bench", campaign, "--config", str(config_path), "--seed", "-1"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be an integer >= 0" in captured.err
+        assert not (tmp_path / "out").exists()
 
     def test_one_malformed_campaign_fails_every_command(self, tmp_path, capsys):
         cfg = example_config_dict()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from semperf.gamma import (
     normalize_node_usage,
     predict_time,
 )
-from semperf.partition import AppProfile
 from semperf.refdata import BASE_BANDWIDTH_MBS, calibration_fixture
 
 from reference import ref_histogram_tally
@@ -106,28 +106,28 @@ class TestNonFiniteInputsRejected:
 
 class TestPredictTime:
     def test_zero_words_means_zero_transfer_time(self):
-        td = predict_time(profile(), AppProfile(10**9, 0), 4, 0)
+        td = predict_time(profile(), 8, 4, 10**9, 0, 0)
         assert td.t_c == 0.0
         assert math.isinf(gamma_from_times(td))
 
     def test_doubling_bandwidth_halves_transfer(self):
-        app = AppProfile(10**9, 10**6)
-        td1 = predict_time(profile(link_bandwidth=50.0), app, 4, 10)
-        td2 = predict_time(profile(link_bandwidth=100.0), app, 4, 10)
+        counts = (10**9, 10**6, 10)  # flops, words, messages
+        td1 = predict_time(profile(link_bandwidth=50.0), 8, 4, *counts)
+        td2 = predict_time(profile(link_bandwidth=100.0), 8, 4, *counts)
         assert td2.t_c == pytest.approx(td1.t_c / 2, rel=1e-12)
         assert td2.t_p == td1.t_p
         assert td2.t_l == td1.t_l
 
     def test_cluster_bandwidth_ratio(self):
-        app = AppProfile(10**9, 10**6)
-        slow = predict_time(profile(link_bandwidth=12.0), app, 8, 0)
-        fast = predict_time(profile(link_bandwidth=101.0), app, 8, 0)
+        counts = (10**9, 10**6, 0)
+        slow = predict_time(profile(link_bandwidth=12.0), 8, 8, *counts)
+        fast = predict_time(profile(link_bandwidth=101.0), 8, 8, *counts)
         assert fast.t_c / slow.t_c == pytest.approx(12.0 / 101.0, rel=1e-12)
 
     def test_link_sharing_divides_bandwidth(self):
-        app = AppProfile(10**9, 10**6)
-        alone = predict_time(profile(), app, 4, 0)
-        shared = predict_time(profile(link_sharing=4.0), app, 4, 0)
+        counts = (10**9, 10**6, 0)
+        alone = predict_time(profile(), 8, 4, *counts)
+        shared = predict_time(profile(link_sharing=4.0), 8, 4, *counts)
         assert shared.t_c == pytest.approx(4 * alone.t_c, rel=1e-12)
 
     @given(
@@ -138,9 +138,9 @@ class TestPredictTime:
     )
     def test_componentwise_linearity(self, flops, words, messages, scale):
         m = profile()
-        td = predict_time(m, AppProfile(flops, words), 4, messages)
+        td = predict_time(m, 8, 4, flops, words, messages)
         scaled = predict_time(
-            m, AppProfile(flops * scale, words * scale), 4, messages * scale
+            m, 8, 4, flops * scale, words * scale, messages * scale
         )
         assert scaled.t_p == pytest.approx(scale * td.t_p, rel=1e-12)
         assert scaled.t_c == pytest.approx(scale * td.t_c, rel=1e-12)
@@ -149,7 +149,29 @@ class TestPredictTime:
     def test_rate_model_over_degree(self):
         m = profile(rate_curvature=5.0)
         assert m.rate_at_degree(9) == pytest.approx(1000.0 * 0.5)
-        assert m.at_degree(9).effective_core_rate == pytest.approx(500.0)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            f.name
+            for f in dataclasses.fields(MachineProfile)
+            if f.name != "name"
+        ],
+    )
+    def test_every_profile_field_changes_the_prediction(self, field):
+        # a field the model never reads would leave the prediction alone;
+        # at degree 4 the rate curvature scales the rate by 1 - c / 5
+        changed = {
+            "effective_core_rate": 2000.0,
+            "link_bandwidth": 50.0,
+            "latency": 2e-5,
+            "link_sharing": 2.0,
+            "rate_curvature": 3.0,
+        }
+        m = profile(rate_curvature=2.0)
+        other = dataclasses.replace(m, **{field: changed[field]})
+        before = predict_time(m, 4, 4, 10**9, 10**6, 10)
+        assert predict_time(other, 4, 4, 10**9, 10**6, 10) != before
 
 
 class TestCalibration:
@@ -273,7 +295,6 @@ class TestCalibration:
         b1, alpha, sharing = 12.0, 8.0, 4.0
         p, words, messages = 8, 12_000_000, 20_000
         latency = 5e-5
-        app = AppProfile(flops_per_step=10**11, words_per_step=words)
         machines = [
             ("base", 1.0, profile(name="m1", effective_core_rate=500.0,
                                   link_bandwidth=b1, latency=latency)),
@@ -286,7 +307,7 @@ class TestCalibration:
         ]
         rows = []
         for model, s, machine in machines:
-            td = predict_time(machine, app, p, messages)
+            td = predict_time(machine, 8, p, 10**11, words, messages)
             rows.append(
                 CalibrationInput(
                     machine.name, td.t_p, gamma_from_times(td), model, s

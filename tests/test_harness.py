@@ -51,6 +51,11 @@ class TestStrongScalingSimulated:
         for p, target in STRONG_EFFICIENCY_TARGETS.items():
             assert by_p[p].efficiency == pytest.approx(target, abs=0.03)
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "7"])
+    def test_seed_must_be_a_non_negative_integer(self, machines, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            replace(strong_spec(machines), seed=seed)
+
     def test_efficiency_non_increasing_in_p(self, machines):
         records = run_strong_scaling(
             strong_spec(machines, p_list=(1, 2, 4, 8, 16, 32, 64))

@@ -3,7 +3,12 @@ import threading
 import numpy as np
 import pytest
 
-from semperf.transport import TransportTimeout, allreduce_sum, loopback_transport
+from semperf.transport import (
+    TransportAborted,
+    TransportTimeout,
+    allreduce_sum,
+    loopback_transport,
+)
 
 
 def test_round_trip_is_bitwise():
@@ -101,6 +106,29 @@ def test_barrier_with_missing_rank_times_out():
     for t in threads:
         t.join()
     assert sorted(failures) == [0, 1]
+
+
+def test_barrier_after_an_abort_raises_aborted():
+    endpoints = loopback_transport(3)
+    endpoints[1].abort()
+    errors = {}
+
+    def worker(ep):
+        try:
+            ep.barrier(timeout=5.0)
+        except Exception as exc:
+            errors[ep.rank] = type(exc)
+
+    threads = [
+        threading.Thread(target=worker, args=(ep,))
+        for ep in (endpoints[0], endpoints[2])
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+    assert errors == {0: TransportAborted, 2: TransportAborted}
 
 
 def test_receive_timeout():
