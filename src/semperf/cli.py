@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 2 input/config error or an
 unreadable or unwritable path, 3 run failure, 4 degenerate calibration.
-main() is the one place that maps exceptions to them.  The config file is
+``bench`` names the failing campaign on a run failure; main() maps every
+other exception to its code.  The config file is
 JSON with a ``version`` key, built whole when it loads; see
 example_config_dict() or README for the schema.  The SEMPERF_CONFIG
 environment variable supplies the default config path.
@@ -186,7 +187,7 @@ def cmd_bench(args):
     )
     try:
         records = run_campaign(spec)
-    except (SemperfError, ValueError) as exc:
+    except SemperfError as exc:
         print(
             f"campaign {args.campaign!r} failed: {exc}", file=sys.stderr
         )

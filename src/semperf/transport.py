@@ -11,7 +11,10 @@ to every peer and sums all partials in ascending rank order, so each rank
 sends (P-1)*n reduction words per n-word reduction.  A barrier is the same
 pattern with empty payloads, so every wait is a mailbox receive.  A rank
 that fails aborts the fabric: every peer blocked on it, or on a peer that
-aborts in turn, raises instead of waiting forever.
+aborts in turn, raises instead of waiting forever.  Every receive is also
+bounded by ``WAIT_TIMEOUT_S``: peers exchange messages in every CG
+iteration, so a legitimate wait lasts about one iteration of the slowest
+peer, far below the bound.
 """
 
 import queue
@@ -19,9 +22,11 @@ from collections import defaultdict
 
 import numpy as np
 
+WAIT_TIMEOUT_S = 60.0
+
 
 class TransportTimeout(Exception):
-    """A receive waited longer than its timeout for a peer's message."""
+    """A receive waited longer than WAIT_TIMEOUT_S for a peer's message."""
 
 
 class TransportAborted(Exception):
@@ -50,12 +55,12 @@ class LoopbackEndpoint:
         self.tag_messages_sent[tag] += 1
         self._queues[self.rank, peer].put((tag, data))
 
-    def receive(self, peer, tag, timeout=None):
+    def receive(self, peer, tag):
         """Next message from peer, which must carry the given tag."""
         if peer not in self.peers:
             raise ValueError(f"rank {self.rank} has no peer {peer}")
         try:
-            item = self._queues[peer, self.rank].get(timeout=timeout)
+            item = self._queues[peer, self.rank].get(timeout=WAIT_TIMEOUT_S)
         except queue.Empty:
             raise TransportTimeout(
                 f"rank {self.rank} timed out waiting for rank {peer}"
@@ -70,12 +75,12 @@ class LoopbackEndpoint:
             )
         return data
 
-    def barrier(self, timeout=None):
+    def barrier(self):
         """Return once every peer has entered its matching barrier."""
         for peer in self.peers:
             self.send(peer, np.empty(0), tag="barrier")
         for peer in self.peers:
-            self.receive(peer, tag="barrier", timeout=timeout)
+            self.receive(peer, tag="barrier")
 
     def abort(self):
         """Make each peer's next receive from this rank raise

@@ -207,6 +207,21 @@ class TestBench:
         assert main(["bench", "huge", "--config", str(path)]) == 3
         assert "huge" in capsys.readouterr().err
 
+    def test_unfactorizable_campaign_exits_2_like_predict(self, tmp_path):
+        # 13 ranks have no Cartesian factorization on 8^3 elements
+        cfg = example_config_dict()
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["campaigns"]["prime"] = {
+            "kind": "strong",
+            "case": "bench8",
+            "machine": "pleiades2-sim",
+            "p_list": [1, 13],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["bench", "prime", "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_version_key_required(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{}", encoding="utf-8")

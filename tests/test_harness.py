@@ -11,7 +11,7 @@ from semperf.harness import (
     records_to_json,
     records_to_steps_csv,
     records_to_summary_csv,
-    run_degree_sweep,
+    run_campaign,
     run_strong_scaling,
     run_time_budget,
     run_weak_scaling,
@@ -133,18 +133,18 @@ class TestDegreeSweepSimulated:
         )
 
     def test_rate_non_decreasing_in_degree(self, machines):
-        records = run_degree_sweep(self.spec(machines))
+        records = run_campaign(self.spec(machines))
         rates = [r.mflops_per_rank_compute for r in records]
         assert all(a <= b for a, b in zip(rates, rates[1:]))
 
     def test_walltime_strictly_increasing(self, machines):
-        records = run_degree_sweep(self.spec(machines))
+        records = run_campaign(self.spec(machines))
         times = [r.step_walltime for r in records]
         assert all(a < b for a, b in zip(times, times[1:]))
 
     def test_identical_spec_gives_identical_records(self, machines):
-        a = records_to_json(run_degree_sweep(self.spec(machines)))
-        b = records_to_json(run_degree_sweep(self.spec(machines)))
+        a = records_to_json(run_campaign(self.spec(machines)))
+        b = records_to_json(run_campaign(self.spec(machines)))
         assert a == b
 
     def test_degree_below_two_propagates(self, machines):
@@ -268,6 +268,32 @@ class TestExecutedMode:
         assert a.steps[0].flops == b.steps[0].flops
         assert a.steps[0].halo_words_sent == b.steps[0].halo_words_sent
         assert a.steps[0].halo_messages == b.steps[0].halo_messages
+
+    def test_executed_kinds_and_efficiency(self, machines):
+        # only a strong campaign with a P=1 point derives an efficiency
+        case = CaseConfig(
+            elements=(2, 2, 2), degrees=(3, 3, 3), cg_iters_per_step=4
+        )
+        base = dict(case=case, machine=machines["pleiades2-sim"], mode="exec")
+        specs = [
+            CampaignSpec(kind="strong", p_list=(2, 4), **base),
+            CampaignSpec(
+                kind="weak",
+                weak_scales=(((2, 2, 2), 1), ((4, 2, 2), 2)),
+                **base,
+            ),
+            CampaignSpec(
+                kind="degree_sweep", p_list=(2,), degrees=(2, 3), **base
+            ),
+        ]
+        for spec in specs:
+            records = run_campaign(spec)
+            assert len(records) == 2
+            for rec in records:
+                assert rec.kind == spec.kind
+                assert rec.mode == "exec"
+                assert rec.efficiency is None
+                assert rec.speedup is None
 
 
 class TestSerialization:

@@ -2,8 +2,13 @@
 
 ``perfbench/spans.py`` wraps named functions of the package from outside;
 a refactor that drops or moves one of those names breaks the traced run.
+The benchmark also imports package names inside functions that no test
+runs, so those names are checked here too.
 """
 
+import ast
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,6 +18,24 @@ from pathlib import Path
 from semperf.counts import CaseConfig, laplacian_flops
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def test_every_name_the_benchmark_imports_exists():
+    imported = [
+        (node.module, alias.name)
+        for path in sorted((REPO / "perfbench").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "semperf"
+        for alias in node.names
+    ]
+    assert ("semperf.solver", "step_flops") in imported
+    for module_name, name in imported:
+        module = importlib.import_module(module_name)
+        # "from semperf import solver" names a submodule
+        assert hasattr(module, name) or importlib.util.find_spec(
+            f"{module_name}.{name}"
+        ), f"{module_name}.{name}"
 
 
 def test_traced_predict_hits_the_model_hooks(tmp_path):

@@ -3,6 +3,10 @@ import threading
 import numpy as np
 import pytest
 
+from semperf import transport
+from semperf.kernel import CaseConfig
+from semperf.partition import partition_elements
+from semperf.solver import RankWorker
 from semperf.transport import (
     TransportAborted,
     TransportTimeout,
@@ -76,7 +80,7 @@ def test_barrier_releases_when_all_arrive():
     arrived = []
 
     def worker(ep):
-        ep.barrier(timeout=5.0)
+        ep.barrier()
         arrived.append(ep.rank)
 
     threads = [threading.Thread(target=worker, args=(ep,)) for ep in endpoints]
@@ -87,13 +91,14 @@ def test_barrier_releases_when_all_arrive():
     assert sorted(arrived) == [0, 1, 2, 3]
 
 
-def test_barrier_with_missing_rank_times_out():
+def test_barrier_with_missing_rank_times_out(monkeypatch):
+    monkeypatch.setattr(transport, "WAIT_TIMEOUT_S", 0.2)
     endpoints = loopback_transport(3)
     failures = []
 
     def worker(ep):
         try:
-            ep.barrier(timeout=0.2)
+            ep.barrier()
         except TransportTimeout:
             failures.append(ep.rank)
 
@@ -115,7 +120,7 @@ def test_barrier_after_an_abort_raises_aborted():
 
     def worker(ep):
         try:
-            ep.barrier(timeout=5.0)
+            ep.barrier()
         except Exception as exc:
             errors[ep.rank] = type(exc)
 
@@ -131,10 +136,24 @@ def test_barrier_after_an_abort_raises_aborted():
     assert errors == {0: TransportAborted, 2: TransportAborted}
 
 
-def test_receive_timeout():
+def test_receive_timeout(monkeypatch):
+    monkeypatch.setattr(transport, "WAIT_TIMEOUT_S", 0.05)
     a, _ = loopback_transport(2)
     with pytest.raises(TransportTimeout):
-        a.receive(1, tag="halo", timeout=0.05)
+        a.receive(1, tag="halo")
+
+
+def test_setup_without_its_peer_times_out(monkeypatch):
+    # rank 0's setup exchanges halos with rank 1, whose setup has not run
+    monkeypatch.setattr(transport, "WAIT_TIMEOUT_S", 0.05)
+    case = CaseConfig(elements=(2, 2, 2), degrees=(2, 2, 2))
+    plan = partition_elements(case, 2)
+    workers = [
+        RankWorker(case, plan, ep) for ep in loopback_transport(2)
+    ]
+    with pytest.raises(TransportTimeout):
+        for worker in workers:
+            worker.setup()
 
 
 def test_allreduce_sums_in_rank_order():
