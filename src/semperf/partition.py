@@ -93,12 +93,25 @@ class PartitionPlan:
 
     @property
     def messages_per_exchange(self):
-        """Halo messages per gather-scatter: one each way per adjacent pair.
+        """Halo messages per gather-scatter, summed over the ranks."""
+        return sum(map(sum, map(self._face_sends, range(self.n_ranks))))
 
-        Along axis a, P / p_a rows of p_a blocks hold p_a - 1 adjacent
-        pairs each.
-        """
-        return 2 * sum((p - 1) * self.n_ranks // p for p in self.rank_grid)
+    def _face_sends(self, rank):
+        """Per axis, the number of face neighbors the rank sends to."""
+        return [2 - pair.count(None) for pair in self.neighbors(rank)]
+
+    def rank_counts(self, rank, config):
+        """Halo words and messages the rank sends per gather-scatter: one
+        message to each face neighbor, carrying the block's boundary plane
+        (its element faces times an element face's points, per field)."""
+        nodes = [
+            (stop - start) * (n + 1)
+            for (start, stop), n in zip(self.block_of(rank), config.degrees)
+        ]
+        volume = nodes[0] * nodes[1] * nodes[2]
+        sends = self._face_sends(rank)
+        words = sum(s * (volume // n) for s, n in zip(sends, nodes))
+        return config.n_fields * words, sum(sends)
 
 
 def partition_elements(config, n_ranks):
@@ -133,23 +146,10 @@ def partition_elements(config, n_ranks):
     )
 
 
-def face_points(config, axis):
-    """Grid points on an element face normal to the given axis."""
-    nx, ny, nz = config.degrees
-    points = ((ny + 1) * (nz + 1), (nx + 1) * (nz + 1), (nx + 1) * (ny + 1))
-    return points[axis]
-
-
-def words_per_exchange(plan, config):
-    """Words on the wire for one gather-scatter (both directions counted)."""
-    return 2 * config.n_fields * sum(
-        n * face_points(config, axis)
-        for axis, n in enumerate(plan.cut_face_counts)
-    )
-
-
 def words_per_step(plan, config, exchanges_per_step):
-    """Total interface words per step for the given exchange count."""
+    """Halo words per step, summed over the ranks."""
     if exchanges_per_step < 0:
         raise ValueError("exchanges_per_step must be >= 0")
-    return exchanges_per_step * words_per_exchange(plan, config)
+    return exchanges_per_step * sum(
+        plan.rank_counts(rank, config)[0] for rank in range(plan.n_ranks)
+    )

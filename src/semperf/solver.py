@@ -43,16 +43,33 @@ def default_solution(x, y, z):
 
 @dataclass
 class WorkUnitReport:
-    """Result of one executed work unit: its steps' records summed over
-    the ranks, the setup's halo words and, on request, the fields."""
+    """Result of one executed work unit: each rank's step records, the
+    setup's halo words and, on request, the fields."""
 
-    steps: tuple  # StepRecord per step
+    rank_steps: tuple  # per rank: a StepRecord per step
     setup_halo_words_sent: int
     fields: dict = field(default_factory=dict, repr=False)
 
     @property
+    def steps(self):
+        """Per step, the ranks' records combined: counts add up, the slowest
+        rank sets the wall time, rank 0 gives iterations and residual."""
+        return tuple(
+            StepRecord(
+                iterations=per_rank[0].iterations,
+                rel_residual=per_rank[0].rel_residual,
+                flops=sum(s.flops for s in per_rank),
+                halo_words_sent=sum(s.halo_words_sent for s in per_rank),
+                halo_messages=sum(s.halo_messages for s in per_rank),
+                reduce_words_sent=sum(s.reduce_words_sent for s in per_rank),
+                walltime=max(s.walltime for s in per_rank),
+            )
+            for per_rank in zip(*self.rank_steps)
+        )
+
+    @property
     def iterations(self):
-        return tuple(s.iterations for s in self.steps)
+        return tuple(s.iterations for s in self.rank_steps[0])
 
 
 class RankWorker:
@@ -338,8 +355,9 @@ def run_work_unit(
 
     With ``rtol`` unset each step runs the configured iteration budget;
     with ``rtol`` set, a step stops at the relative residual or at the
-    budget, whichever comes first.  If a rank raises, the transport is
-    aborted and that rank's exception is raised here.
+    budget, whichever comes first; the report keeps each rank's records.
+    If a rank raises, the transport is aborted and that rank's exception
+    is raised here.
     """
     if plan is None:
         plan = partition_elements(config, n_ranks or 1)
@@ -369,26 +387,11 @@ def run_work_unit(
             errors[0],
         )
     results += [f.result() for f in futures]
-    steps = []
-    for per_rank in zip(*(rank_steps for rank_steps, _, _ in results)):
-        # counts add up, the slowest rank sets the wall time, and every
-        # rank agrees with rank 0 on iterations and residual
-        steps.append(
-            StepRecord(
-                iterations=per_rank[0].iterations,
-                rel_residual=per_rank[0].rel_residual,
-                flops=sum(s.flops for s in per_rank),
-                halo_words_sent=sum(s.halo_words_sent for s in per_rank),
-                halo_messages=sum(s.halo_messages for s in per_rank),
-                reduce_words_sent=sum(s.reduce_words_sent for s in per_rank),
-                walltime=max(s.walltime for s in per_rank),
-            )
-        )
     fields = {}
     for _, _, rank_fields in results:
         fields.update(rank_fields)
     return WorkUnitReport(
-        steps=tuple(steps),
+        rank_steps=tuple(tuple(steps) for steps, _, _ in results),
         setup_halo_words_sent=sum(setup for _, setup, _ in results),
         fields=fields,
     )

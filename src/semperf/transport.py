@@ -22,14 +22,16 @@ from collections import defaultdict
 
 import numpy as np
 
+from .errors import SemperfError
+
 WAIT_TIMEOUT_S = 60.0
 
 
-class TransportTimeout(Exception):
+class TransportTimeout(SemperfError):
     """A receive waited longer than WAIT_TIMEOUT_S for a peer's message."""
 
 
-class TransportAborted(Exception):
+class TransportAborted(SemperfError):
     """A peer aborted the fabric; the message waited for will never come."""
 
 

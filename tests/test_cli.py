@@ -174,6 +174,23 @@ class TestBench:
                 k = step["iterations"]
                 assert step["reduce_words"] == p * (p - 1) * (3 * k + 2)
 
+    def test_transport_timeout_fails_the_campaign_with_exit_3(
+        self, config_path, tmp_path, monkeypatch, capsys
+    ):
+        import semperf.solver
+        from semperf.transport import TransportTimeout
+
+        def timed_out(*args, **kwargs):
+            raise TransportTimeout("rank 0 timed out waiting for rank 1")
+
+        monkeypatch.setattr(semperf.solver, "run_work_unit", timed_out)
+        argv = ["bench", "strong-exec-small", "--config", str(config_path),
+                "--mode", "exec"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "campaign 'strong-exec-small' failed: rank 0 timed out" in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_campaign_is_config_error(self, config_path):
         assert main(["bench", "nope", "--config", str(config_path)]) == 2
 

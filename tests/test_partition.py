@@ -5,11 +5,7 @@ from hypothesis import given, strategies as st
 
 from semperf.errors import OverDecompositionError
 from semperf.kernel import CaseConfig
-from semperf.partition import (
-    partition_elements,
-    words_per_exchange,
-    words_per_step,
-)
+from semperf.partition import partition_elements, words_per_step
 
 from reference import ref_cut_faces
 
@@ -101,6 +97,13 @@ class TestPartitionElements:
                     (min(minus, default=None), min(plus, default=None))
                 )
             assert plan.neighbors(rank) == tuple(expected)
+            # the rank sends each cut face it touches (9 points at N=2) to
+            # the rank across it, in one message per such rank
+            touching = [f for f in faces if rank in f[2:]]
+            assert plan.rank_counts(rank, config) == (
+                9 * len(touching),
+                len({a + b - rank for _, _, a, b in touching}),
+            )
 
     def test_cut_faces_connect_distinct_adjacent_ranks(self):
         plan = partition_elements(cfg((4, 4, 4)), 8)
@@ -146,7 +149,48 @@ class TestWordsPerStep:
         config = cfg((2, 1, 1), degrees=(2, 4, 6))
         plan = partition_elements(config, 2)
         # the cut face is normal to x: (Ny+1)(Nz+1) points
-        assert words_per_exchange(plan, config) == 2 * 5 * 7
+        assert words_per_step(plan, config, 1) == 2 * 5 * 7
+
+
+def closed_form_counts(plan, config):
+    """Halo words and messages per gather-scatter from the rank grid alone:
+    every cut face moves its face points each way, and along axis a the
+    P / p_a rows of p_a blocks hold p_a - 1 adjacent pairs each."""
+    nx, ny, nz = config.degrees
+    points = ((ny + 1) * (nz + 1), (nx + 1) * (nz + 1), (nx + 1) * (ny + 1))
+    words = 2 * config.n_fields * sum(
+        n * points[axis] for axis, n in enumerate(plan.cut_face_counts)
+    )
+    messages = 2 * sum((p - 1) * plan.n_ranks // p for p in plan.rank_grid)
+    return words, messages
+
+
+class TestRankCounts:
+    @pytest.mark.parametrize(
+        "elements,ranks",
+        [((8, 8, 8), range(1, 65)), ((3, 3, 3), [8]), ((5, 3, 2), [6]),
+         ((4, 6, 7), [12, 42])],
+    )
+    @pytest.mark.parametrize(
+        "degrees,n_fields", [((8, 8, 8), 1), ((2, 4, 6), 3)]
+    )
+    def test_sums_equal_the_grid_closed_forms(
+        self, elements, ranks, degrees, n_fields
+    ):
+        config = cfg(elements, degrees=degrees, n_fields=n_fields)
+        checked = 0
+        for p in ranks:
+            try:
+                plan = partition_elements(config, p)
+            except ValueError:
+                continue  # no Cartesian factorization fits
+            words, messages = closed_form_counts(plan, config)
+            assert words_per_step(plan, config, 1) == words, p
+            assert plan.messages_per_exchange == messages, p
+            per_rank = [plan.rank_counts(rank, config) for rank in range(p)]
+            assert tuple(map(sum, zip(*per_rank))) == (words, messages), p
+            checked += 1
+        assert checked >= 1
 
 
 class TestGammaA:

@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` wraps named functions of the package from outside;
 a refactor that drops or moves one of those names breaks the traced run.
 The benchmark also imports package names inside functions that no test
-runs, so those names are checked here too.
+runs, so those names are checked here too, and its step checks run
+against an executed unit, so the attributes it reads are checked as well.
 """
 
 import ast
@@ -36,6 +37,25 @@ def test_every_name_the_benchmark_imports_exists():
         assert hasattr(module, name) or importlib.util.find_spec(
             f"{module_name}.{name}"
         ), f"{module_name}.{name}"
+
+
+def test_benchmark_step_checks_pass_on_an_executed_unit(monkeypatch):
+    # the benchmark also reads attributes that no import names, such as
+    # plan.messages_per_exchange and report.steps[i].halo_messages
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import child
+    from semperf.solver import run_work_unit
+
+    case = CaseConfig(
+        elements=(2, 2, 2), degrees=(4, 4, 4), steps=2, cg_iters_per_step=5
+    )
+    oracle = child.step_oracle(case, 2)
+    reference = run_work_unit(case, n_ranks=1).steps[0].rel_residual
+    report = run_work_unit(case, n_ranks=2)
+    for step in report.steps:
+        results = child.check_step(step, oracle, reference)
+        assert "step.residual_vs_p1" in results
+        assert all(results.values()), results
 
 
 def test_traced_predict_hits_the_model_hooks(tmp_path):

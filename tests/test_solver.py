@@ -202,6 +202,39 @@ class TestWordAccounting:
             plan, config, 2
         )
 
+    @pytest.mark.parametrize("n_ranks", range(1, 9))
+    def test_rank_records_equal_rank_counts(self, n_ranks):
+        # (4,3,7) factors every P up to 8, into blocks of unequal sizes at
+        # every P but 1 and 7
+        config = small_case(elements=(4, 3, 7), degrees=(2, 2, 2), steps=2,
+                            cg_iters_per_step=3)
+        plan = partition_elements(config, n_ranks)
+        report = run_work_unit(config, plan=plan)
+        assert len(report.rank_steps) == n_ranks
+        for rank, steps in enumerate(report.rank_steps):
+            words, messages = plan.rank_counts(rank, config)
+            block = tuple(stop - start for start, stop in plan.block_of(rank))
+            for step in steps:
+                k = step.iterations
+                assert k == config.cg_iters_per_step
+                assert step.halo_words_sent == words * k
+                assert step.halo_messages == messages * k
+                assert step.flops == step_flops(
+                    replace(config, elements=block), 1, k
+                )
+        # counts add up, the slowest rank sets the wall time, and rank 0
+        # gives iterations and residual
+        assert report.steps == tuple(
+            replace(
+                per_rank[0],
+                **{key: sum(getattr(s, key) for s in per_rank)
+                   for key in ("flops", "halo_words_sent", "halo_messages",
+                               "reduce_words_sent")},
+                walltime=max(s.walltime for s in per_rank),
+            )
+            for per_rank in zip(*report.rank_steps)
+        )
+
 
 class TestGammaARegression:
     def test_instrumented_reference_case(self):
