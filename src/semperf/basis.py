@@ -14,8 +14,6 @@ NEWTON_MAX_ITERS = 100
 def _legendre_pair(n, x):
     """Evaluate (L_n, L_{n-1}) at x via the three-term recurrence."""
     p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev, np.zeros_like(x)
     p = np.asarray(x, dtype=float).copy()
     for k in range(1, n):
         p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p

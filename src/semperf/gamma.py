@@ -113,6 +113,13 @@ def predict_time(machine, degree, p, flops, words, messages):
     t_p = flops / (p * machine.rate_at_degree(degree) * MEGA)
     t_c = words * WORD_BYTES / (p * machine.per_rank_bandwidth * MEGA)
     t_l = messages * machine.latency
+    # extreme finite rates can underflow T_P to 0 or overflow a part to inf
+    if not (t_p > 0 and math.isfinite(t_p + t_c + t_l)):
+        raise ValueError(
+            f"model of {machine.name} at P={p}, degree {degree} is out of "
+            f"range: T_P={t_p:g} s must be positive and finite, T_C={t_c:g} s "
+            f"and T_L={t_l:g} s finite"
+        )
     return TimeDecomposition(t_p=t_p, t_c=t_c, t_l=t_l)
 
 

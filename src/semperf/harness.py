@@ -279,18 +279,15 @@ def run_time_budget(spec):
         spec.case, spec.machine, spec.p_list[0], seed=spec.seed, kind=spec.kind
     )
     step_time = rec.step_walltime
-    completed = int(spec.budget_s // step_time) if step_time > 0 else 0
+    completed = int(spec.budget_s // step_time)
     warnings = ()
     if completed == 0:
         warnings = ("budget smaller than one step: zero steps completed",)
     n_windows = int(spec.budget_s // spec.window_s)
     rng = np.random.default_rng(spec.seed)
     base = rec.efficiency
-    if n_windows > 0:
-        noise = rng.uniform(-spec.jitter, spec.jitter, n_windows)
-        samples = np.clip(base + noise, 0.0, 1.0)
-    else:
-        samples = np.array([])
+    noise = rng.uniform(-spec.jitter, spec.jitter, n_windows)
+    samples = np.clip(base + noise, 0.0, 1.0)
     rec.steps_completed = completed
     rec.window_samples = tuple(float(s) for s in samples)
     rec.warnings = warnings

@@ -96,57 +96,52 @@ class RankWorker:
         cx, cy, cz = (stop - start for start, stop in self.block)
         nx, ny, nz = (n + 1 for n in config.degrees)
         self._arr_shape = (cz, cy, cx, config.n_fields, nz, ny, nx)
-        # matvec's output, reused: run_step reads q only until the next matvec
+        # matvec's output and, from a p update to the next matvec, z
         self._q = np.empty(self._arr_shape)
 
         # per direction: the halo (minus, plus, lo, hi, left, right), that is
         # the face neighbors, the block's boundary planes and the planes of
         # its own interior interfaces (None with one element along it); and,
         # from the block's global element indices g, the factors of the node
-        # multiplicity, Dirichlet mask and coordinates, each shaped to
-        # broadcast at the direction's element and node axes
+        # multiplicity and coordinates, each shaped to broadcast at the
+        # direction's element and node axes.  A side with no face neighbor
+        # is a box wall: its plane is Dirichlet, and its nodes unshared.
         ndim = len(self._arr_shape)
         self._halo = []
         self._coordinates = []
-        mult = mask = 1.0
+        mult = 1.0
+        walls = np.zeros(self._arr_shape, dtype=bool)
         for ax, ((start, stop), (minus, plus)) in enumerate(
             zip(self.block, plan.neighbors(self.rank))
         ):
             el_ax, node_ax = self._EL_AXIS[ax], self._NODE_AXIS[ax]
+            lo = _plane_index(ndim, el_ax, 0, node_ax, 0)
+            hi = _plane_index(ndim, el_ax, -1, node_ax, -1)
             left = right = None
             if stop - start > 1:
                 left = _plane_index(ndim, el_ax, slice(None, -1), node_ax, -1)
                 right = _plane_index(ndim, el_ax, slice(1, None), node_ax, 0)
-            self._halo.append((
-                minus,
-                plus,
-                _plane_index(ndim, el_ax, 0, node_ax, 0),
-                _plane_index(ndim, el_ax, -1, node_ax, -1),
-                left,
-                right,
-            ))
+            self._halo.append((minus, plus, lo, hi, left, right))
             # an element's end nodes are shared with its neighbor along the
-            # axis, save the two on the box walls, where the mask is 0
+            # axis, save those on a box wall
             mult_ax = np.ones((stop - start, config.degrees[ax] + 1))
             mult_ax[:, 0] = mult_ax[:, -1] = 2.0
-            mask_ax = np.ones(mult_ax.shape)
-            if start == 0:
-                mult_ax[0, 0], mask_ax[0, 0] = 1.0, 0.0
-            if stop == config.elements[ax]:
-                mult_ax[-1, -1], mask_ax[-1, -1] = 1.0, 0.0
+            if minus is None:
+                mult_ax[0, 0] = 1.0
+                walls[lo] = True
+            if plus is None:
+                mult_ax[-1, -1] = 1.0
+                walls[hi] = True
             g = np.arange(start, stop)[:, None]
             coords_ax = (g + (bases[ax].nodes + 1.0) / 2.0) * extents[ax]
             table = [1] * ndim
             table[el_ax], table[node_ax] = mult_ax.shape
             mult = mult * mult_ax.reshape(table)
-            mask = mask * mask_ax.reshape(table)
             self._coordinates.append(coords_ax.reshape(table))
         self.inv_mult = np.divide(1.0, mult, out=mult)
-        # keep the Dirichlet mask as the flat indices of the box-wall nodes,
-        # where it is 0 (on 8^3 elements, N=8, P=1: 242 KB, not 3 MB)
-        self._walls = np.flatnonzero(
-            np.broadcast_to(mask, self._arr_shape) == 0.0
-        )
+        # keep the walls as the flat indices of their nodes (on 8^3
+        # elements, N=8, P=1: 242 KB, not 3 MB)
+        self._walls = np.flatnonzero(walls)
         self.inv_diag = None
         self.rhs = None
 
@@ -220,10 +215,10 @@ class RankWorker:
         self.dssum(diag)
         self.inv_diag = np.divide(1.0, diag, out=diag)
 
-        # the CG vectors, allocated last so that they can take the memory
-        # that setup's temporaries gave back
-        self._x, self._r, self._z, self._p = (
-            np.empty(self._arr_shape) for _ in range(4)
+        # the CG vectors x, r and p (z shares q's buffer), allocated last so
+        # that they can take the memory that setup's temporaries gave back
+        self._x, self._r, self._p = (
+            np.empty(self._arr_shape) for _ in range(3)
         )
 
     # -- the work step -------------------------------------------------------
@@ -232,9 +227,10 @@ class RankWorker:
         if max_iters is None:
             max_iters = self.config.cg_iters_per_step
         size = self.rhs.size
-        # the worker's own x, r, z and p, reset to the same bits as fresh
-        # arrays: run_step returns x, and the next step overwrites it
-        x, r, z, p = self._x, self._r, self._z, self._p
+        # the worker's own x, r and p, reset to the same bits as fresh
+        # arrays: run_step returns x, and the next step overwrites it; z
+        # is q's buffer, read last by the p update before the next matvec
+        x, r, z, p = self._x, self._r, self._q, self._p
         x.fill(0.0)
         np.copyto(r, self.rhs)
         np.multiply(self.inv_diag, r, out=z)
@@ -262,13 +258,13 @@ class RankWorker:
                 break
             alpha = rho / den
             self.counter.count(div=1)
-            # in place, with z (dead until the precondition) and q (dead
-            # after the r update) as scratch; same bits as x += alpha * p,
-            # r -= alpha * q and z = inv_diag * r
-            np.multiply(p, alpha, out=z)
-            x += z
+            # in place, with q (dead after the r update) as scratch and
+            # then as z; same bits as r -= alpha * q, x += alpha * p and
+            # z = inv_diag * r
             q *= alpha
             r -= q
+            np.multiply(p, alpha, out=q)
+            x += q
             np.multiply(self.inv_diag, r, out=z)
             self.counter.count(add=2 * size, mul=3 * size)
             rho_new, rr = self._allreduce(

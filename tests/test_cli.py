@@ -60,6 +60,27 @@ def machine_config(**extra):
     return {**example_config_dict(), "machines": {"m": machine}}
 
 
+# finite, positive rates whose model T_P underflows to 0 or overflows to inf
+OVERFLOWING_MACHINES = pytest.mark.parametrize(
+    "machine",
+    [
+        {"effective_core_rate": 1e305, "link_bandwidth": 1e305, "latency": 0},
+        {"effective_core_rate": 1e-310},
+    ],
+    ids=["t_p-zero", "t_p-inf"],
+)
+
+
+def overflowing_config(tmp_path, machine):
+    """A config whose campaign 'over' runs on the machine 'm'."""
+    cfg = machine_config(**machine)
+    cfg["output_dir"] = str(tmp_path / "out")
+    cfg["campaigns"]["over"] = {**strong_campaign(1, 2), "machine": "m"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return path
+
+
 def strong_campaign(*p_list):
     return {
         "kind": "strong", "case": "bench8", "machine": "pleiades2-sim",
@@ -374,6 +395,18 @@ class TestBench:
         assert "seed must be an integer >= 0" in captured.err
         assert not (tmp_path / "out").exists()
 
+    @OVERFLOWING_MACHINES
+    def test_overflowing_machine_exits_2_without_output(
+        self, tmp_path, capsys, machine
+    ):
+        path = overflowing_config(tmp_path, machine)
+        assert main(["bench", "over", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: model of m at P=1, degree 8")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_one_malformed_campaign_fails_every_command(self, tmp_path, capsys):
         cfg = example_config_dict()
         cfg["output_dir"] = str(tmp_path / "out")
@@ -486,6 +519,20 @@ class TestPredict:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    @OVERFLOWING_MACHINES
+    def test_overflowing_machine_exits_2_without_output(
+        self, tmp_path, capsys, machine
+    ):
+        path = overflowing_config(tmp_path, machine)
+        argv = ["predict", "--machine", "m", "--config", str(path),
+                "-P", "2", "--json"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: model of m at P=2, degree 8")
+        assert captured.err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_table_output(self, capsys):
         code = main(["predict", "--machine", "pleiades2", "-P", "4"])

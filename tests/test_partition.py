@@ -118,6 +118,23 @@ class TestPartitionElements:
         assert len(pairs) == 12
         assert plan.messages_per_exchange == 2 * len(pairs)
 
+    def test_no_neighbor_exactly_on_the_box_walls(self):
+        # RankWorker takes a side with no face neighbor for a box wall
+        cases = [((3, 3, 3), 8), ((5, 3, 2), 6), ((4, 6, 7), 12)]
+        plans = [partition_elements(cfg(e), p) for e, p in cases]
+        for p in range(1, 65):
+            try:
+                plans.append(partition_elements(cfg((8, 8, 8)), p))
+            except ValueError:
+                pass  # no Cartesian factorization fits
+        for plan in plans:
+            for rank in range(plan.n_ranks):
+                for (start, stop), (minus, plus), extent in zip(
+                    plan.block_of(rank), plan.neighbors(rank), plan.elements
+                ):
+                    assert (minus is None) == (start == 0)
+                    assert (plus is None) == (stop == extent)
+
 
 class TestWordsPerStep:
     def test_single_rank_is_zero(self):

@@ -120,7 +120,8 @@ def test_traced_work_unit_hits_the_executed_hooks(tmp_path):
                  "transport.send", "transport.receive", "transport.barrier",
                  "transport.allreduce_sum"):
         assert sums[f"{name}|calls"] > 0, name
-    header, *rows = (json.loads(line) for line in spans_path.open())
+    with spans_path.open() as fh:
+        header, *rows = (json.loads(line) for line in fh)
     spans = [dict(zip(header, row)) for row in rows]
     setup_ranks = {s["rank"] for s in spans if s["name"] == "solver.setup"}
     assert setup_ranks == {0, 1}

@@ -638,22 +638,22 @@ class TestStepMemory:
     )
     full_array = 8 * 8**3 * 9**3  # bytes of one float64 field
 
-    def test_unit_peak_stays_below_nine_full_arrays(self):
-        # rhs, inv_diag, inv_mult, q and the four CG vectors, plus setup's
-        # transient tables; a full-size array allocated per step, or held
-        # across steps, would make it ten
+    def test_unit_peak_stays_below_eight_full_arrays(self):
+        # rhs, inv_diag, inv_mult, q (which also holds z) and the three CG
+        # vectors x, r and p, plus setup's transient tables; a full-size
+        # array allocated per step, or held across steps, would make it nine
         tracemalloc.start()
         try:
             run_work_unit(self.config, n_ranks=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / self.full_array < 9
+        assert peak / self.full_array < 8
 
     def test_later_step_allocates_under_half_a_full_array(self):
-        # the worker owns x, r, z, p and q, so a step after the first
-        # allocates none of them; half an array of slack for the plane
-        # sums of dssum and the gathered wall values of the mask
+        # the worker owns x, r, p and q (z's buffer), so a step after the
+        # first allocates none of them; half an array of slack for the
+        # plane sums of dssum and the gathered values of the walls
         (endpoint,) = loopback_transport(1)
         worker = RankWorker(
             self.config, partition_elements(self.config, 1), endpoint
