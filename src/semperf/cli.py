@@ -50,10 +50,6 @@ EXIT_DEGENERATE = 4
 CONFIG_ENV_VAR = "SEMPERF_CONFIG"
 
 
-class InputError(Exception):
-    """Bad configuration or command input; maps to exit code 2."""
-
-
 @dataclass
 class ToolConfig:
     """Parsed tool configuration: machine profiles and campaign specs."""
@@ -67,7 +63,7 @@ class ToolConfig:
     def from_path(cls, path):
         """Read the config and build every machine, case and campaign in it.
 
-        A malformed entry anywhere raises InputError naming that entry, so a
+        A malformed entry anywhere raises ValueError naming that entry, so a
         config either loads whole or not at all.
         """
         where = "JSON"
@@ -115,7 +111,7 @@ class ToolConfig:
                 if isinstance(exc, KeyError)
                 else exc
             )
-            raise InputError(f"config {path}, {where}: {detail}") from exc
+            raise ValueError(f"config {path}, {where}: {detail}") from exc
         return cls(
             machines=machines,
             campaigns=campaigns,
@@ -127,7 +123,7 @@ class ToolConfig:
         out = Path(override) if override else self.output_dir
         out.mkdir(parents=True, exist_ok=True)
         if not os.access(out, os.W_OK):
-            raise InputError(f"output directory {out} is not writable")
+            raise ValueError(f"output directory {out} is not writable")
         return out
 
 
@@ -173,12 +169,12 @@ def _print_table(rows, columns):
 def cmd_bench(args):
     config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if not config_path:
-        raise InputError(
+        raise ValueError(
             "no config given (pass a path or set " + CONFIG_ENV_VAR + ")"
         )
     config = ToolConfig.from_path(config_path)
     if args.campaign not in config.campaigns:
-        raise InputError(
+        raise ValueError(
             f"campaign {args.campaign!r} not in config "
             f"(have: {', '.join(sorted(config.campaigns)) or 'none'})"
         )
@@ -228,7 +224,7 @@ def cmd_predict(args):
         else builtin_profiles()
     )
     if args.machine not in machines:
-        raise InputError(
+        raise ValueError(
             f"unknown machine {args.machine!r} "
             f"(have: {', '.join(sorted(machines))})"
         )
@@ -284,11 +280,11 @@ def _read_calibration_table(path):
     if not (
         isinstance(table, list) and all(isinstance(row, dict) for row in table)
     ):
-        raise InputError(f"table {path} must be a JSON list of objects")
+        raise ValueError(f"table {path} must be a JSON list of objects")
     rows = []
     for entry in table:
         if not {"name", "t_p", "gamma", "bandwidth_model"} <= entry.keys():
-            raise InputError(
+            raise ValueError(
                 f"table {path} needs columns name,t_p,gamma,bandwidth_model"
                 "[,sharing] in every row"
             )
@@ -308,7 +304,10 @@ def cmd_calibrate(args):
     rows = _read_calibration_table(args.table)
     fit = calibrate(rows, base_bandwidth=args.base_bandwidth)
     out = Path(args.out) if args.out else Path("gamma_fit.json")
-    out.write_text(fit.to_json(indent=2), encoding="utf-8")
+    out.write_text(
+        json.dumps(fit.to_json_dict(), sort_keys=True, indent=2),
+        encoding="utf-8",
+    )
     print(f"W      {fit.w_mb:10.4f} MB per step")
     print(f"alpha  {fit.alpha:10.4f}")
     print(f"T_L    {fit.t_l:10.4f} s")
@@ -331,20 +330,20 @@ def _read_samples(path):
             samples.append(float(line.replace(",", " ").split()[-1]))
         except (ValueError, IndexError):
             if not header_allowed:
-                raise InputError(
+                raise ValueError(
                     f"{path}:{lineno}: cannot parse a usage value from "
                     f"{line!r}"
                 ) from None
         header_allowed = False
     if not samples:
-        raise InputError(f"no usage samples found in {path}")
+        raise ValueError(f"no usage samples found in {path}")
     return samples
 
 
 def cmd_analyze(args):
     samples = _read_samples(args.samples)
     if (args.cores_per_node is None) != (args.active_ranks is None):
-        raise InputError(
+        raise ValueError(
             "--cores-per-node and --active-ranks must be given together"
         )
     if args.cores_per_node is not None:
@@ -451,9 +450,7 @@ def main(argv=None):
     except SemperfError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUN
-    except (
-        InputError, ValueError, TypeError, KeyError, OverflowError, OSError
-    ) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

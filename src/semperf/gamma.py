@@ -8,7 +8,6 @@ and the speedup S = P * E.  A saturated (communication-free) run is
 represented by ``math.inf``.
 """
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -132,7 +131,7 @@ class CalibrationInput:
 
     ``bandwidth_model`` selects the effective link bandwidth: the base
     interconnect b1, a scaled one alpha*b1, or the scaled one divided by a
-    per-node ``sharing`` factor.
+    per-node ``sharing`` factor.  Sharing counts on scaled_shared rows only.
     """
 
     name: str
@@ -155,12 +154,21 @@ class CalibrationInput:
         if self.sharing < 1:
             raise ValueError("sharing must be >= 1")
 
-    def effective_bandwidth(self, base_bandwidth, alpha):
+    def _coefficients(self, base_bandwidth):
+        """(W, V) coefficients of W / b_eff, with V = W / alpha.
+
+        (1/b1, 0) on a base row and (0, s/b1) on a scaled one, where s is
+        the sharing of a scaled_shared row and 1 on any other.
+        """
         if self.bandwidth_model == "base":
-            return base_bandwidth
-        if self.bandwidth_model == "scaled":
-            return alpha * base_bandwidth
-        return alpha * base_bandwidth / self.sharing
+            return 1.0 / base_bandwidth, 0.0
+        s = self.sharing if self.bandwidth_model == "scaled_shared" else 1.0
+        return 0.0, s / base_bandwidth
+
+    def effective_bandwidth(self, base_bandwidth, alpha):
+        # at b1 = 1 the coefficients are (1, 0) or (0, s)
+        on_base, s = self._coefficients(1.0)
+        return base_bandwidth if on_base else alpha * base_bandwidth / s
 
 
 @dataclass(frozen=True)
@@ -188,28 +196,16 @@ class GammaFit:
             "residuals_s": dict(zip(self.input_names, self.residuals)),
         }
 
-    def to_json(self, **kwargs):
-        return json.dumps(self.to_json_dict(), sort_keys=True, **kwargs)
 
-
-def _fit_residuals(inputs, base_bandwidth, w, alpha, t_l):
-    return tuple(
-        w / row.effective_bandwidth(base_bandwidth, alpha)
-        + t_l
-        - row.t_p / row.gamma
-        for row in inputs
-    )
-
-
-def _duplicate_rows(inputs):
+def _duplicate_rows(names, coefficients):
+    """'a/b' for every row b whose equation repeats an earlier row a's."""
     seen = {}
     dupes = []
-    for row in inputs:
-        key = (row.bandwidth_model, row.sharing)
+    for name, key in zip(names, coefficients):
         if key in seen:
-            dupes.append(f"{seen[key]}/{row.name}")
+            dupes.append(f"{seen[key]}/{name}")
         else:
-            seen[key] = row.name
+            seen[key] = name
     return dupes
 
 
@@ -233,28 +229,19 @@ def calibrate(inputs, base_bandwidth):
         raise CalibrationDegenerateError(
             f"need at least 3 inputs, got {len(inputs)}", inputs=names
         )
-    models = {row.bandwidth_model for row in inputs}
-    if len(models) < 2:
+    coefficients = [row._coefficients(base_bandwidth) for row in inputs]
+    # columns (W, V, T_L)
+    matrix = np.array([[*c, 1.0] for c in coefficients])
+    if not matrix[:, :2].any(axis=0).all():
         raise CalibrationDegenerateError(
-            f"inputs span a single bandwidth model {models.pop()!r}; "
-            "alpha cannot be identified",
+            "inputs span a single link: alpha needs a base row and a "
+            "scaled or scaled_shared row",
             inputs=names,
         )
-    # columns (W, V, T_L): W / b_eff is W / b1 on a base row, V / b1 on a
-    # scaled one and V * sharing / b1 on a shared one
-    rows = []
-    for row in inputs:
-        if row.bandwidth_model == "base":
-            rows.append([1.0 / base_bandwidth, 0.0, 1.0])
-        elif row.bandwidth_model == "scaled":
-            rows.append([0.0, 1.0 / base_bandwidth, 1.0])
-        else:
-            rows.append([0.0, row.sharing / base_bandwidth, 1.0])
-    matrix = np.array(rows)
     rhs = np.array([row.t_p / row.gamma for row in inputs])
     (w, v, t_l), _, rank, _ = np.linalg.lstsq(matrix, rhs, rcond=None)
     if rank < 3:
-        dupes = _duplicate_rows(inputs)
+        dupes = _duplicate_rows(names, coefficients)
         detail = (
             f"duplicates: {', '.join(dupes)}"
             if dupes
@@ -278,7 +265,12 @@ def calibrate(inputs, base_bandwidth):
         alpha=float(alpha),
         t_l=float(t_l),
         base_bandwidth=float(base_bandwidth),
-        residuals=_fit_residuals(inputs, base_bandwidth, w, alpha, t_l),
+        residuals=tuple(
+            w / row.effective_bandwidth(base_bandwidth, alpha)
+            + t_l
+            - row.t_p / row.gamma
+            for row in inputs
+        ),
         input_names=tuple(names),
     )
 
@@ -304,7 +296,6 @@ def normalize_node_usage(raw_node_usage, active_ranks, cores_per_node):
 class UsageAnalysis:
     """Histogram of per-window efficiency samples plus mean and Gamma."""
 
-    bin_width: float
     bin_edges: tuple
     counts: tuple
     mean: float
@@ -338,9 +329,8 @@ def analyze_usage_histogram(samples, bin_width=0.01):
     elif mean <= 0.0:
         gamma = 0.0
     else:
-        gamma = mean / (1.0 - mean)
+        gamma = gamma_from_efficiency(mean)
     return UsageAnalysis(
-        bin_width=bin_width,
         bin_edges=tuple(float(e) for e in edges[:-1]),
         counts=tuple(int(c) for c in counts),
         mean=mean,

@@ -20,6 +20,7 @@ from .partition import partition_elements, words_per_step
 CAMPAIGN_KINDS = ("strong", "weak", "degree_sweep", "time_budget")
 DEFAULT_WINDOW_S = 20.0
 DEFAULT_JITTER = 0.02
+MAX_WINDOWS = 100_000  # the paper's 10 h run is 1,800 windows
 
 
 def _is_int_at_least(x, low):
@@ -87,6 +88,11 @@ class CampaignSpec:
                     raise ValueError(
                         f"{name} must be a finite positive number"
                     )
+            if self.budget_s // self.window_s > MAX_WINDOWS:
+                raise ValueError(
+                    f"budget_s {self.budget_s:g} holds more than "
+                    f"{MAX_WINDOWS} windows of {self.window_s:g} s"
+                )
             jitter = self.jitter
             if isinstance(jitter, bool) or not 0 <= jitter < math.inf:
                 raise ValueError("jitter must be a finite number >= 0")

@@ -311,6 +311,14 @@ class TestBench:
             (strong_campaign(1, 2), {"cases": [1]}),
             (budget_campaign(budget_s=HUGE), {}),
             (strong_campaign(1, 2), {"cases": huge_iterations_cases()}),
+            (strong_campaign(), {}),
+            (
+                {"kind": "weak", "case": "bench8", "machine": "pleiades2-sim"},
+                {},
+            ),
+            ({**degree_campaign(6, 8), "p_list": [2, 4]}, {}),
+            (budget_campaign(p_list=[4, 8]), {}),
+            (budget_campaign(budget_s=2e9), {}),
         ],
         ids=[
             "window_s-zero", "window_s-nan", "budget_s-nan", "budget_s-inf",
@@ -321,7 +329,9 @@ class TestBench:
             "scales-elements-zero", "degrees-one", "degrees-string",
             "campaign-not-an-object", "formats-string", "formats-unknown",
             "case-not-a-name", "machines-list", "cases-list",
-            "budget_s-huge", "iterations-huge",
+            "budget_s-huge", "iterations-huge", "strong-no-p_list",
+            "weak-no-scales", "degrees-two-p", "budget-two-p",
+            "budget_s-over-window-cap",
         ],
     )
     def test_malformed_campaign_exits_2_without_output(
@@ -349,12 +359,16 @@ class TestBench:
             machine_config(link_sharing=True),
             machine_config(rate_curvature=True),
             machine_config(latency=HUGE),
+            machine_config(effective_core_rate=0),
+            machine_config(latency=-1e-6),
+            machine_config(link_sharing=0.5),
         ],
         ids=[
             "campaigns-list", "top-level-list", "top-level-number",
             "output_dir-number", "core-rate-bool", "bandwidth-bool",
             "latency-bool", "link_sharing-bool", "rate_curvature-bool",
-            "latency-huge",
+            "latency-huge", "core-rate-zero", "latency-negative",
+            "link_sharing-below-one",
         ],
     )
     def test_malformed_config_exits_2_without_output(
@@ -406,6 +420,17 @@ class TestBench:
         assert captured.err.startswith("error: model of m at P=1, degree 8")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_sub_step_budget_warns_and_succeeds(self, tmp_path, capsys):
+        cfg = example_config_dict()
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["campaigns"]["blink"] = budget_campaign(budget_s=1)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["bench", "blink", "--config", str(path)]) == 0
+        err = capsys.readouterr().err
+        assert "warning: budget smaller than one step" in err
+        assert (tmp_path / "out" / "blink_records.json").exists()
 
     def test_one_malformed_campaign_fails_every_command(self, tmp_path, capsys):
         cfg = example_config_dict()
@@ -579,6 +604,46 @@ class TestCalibrate:
         )
         assert main(["calibrate", str(table)]) == 4
         assert "degenerate" in capsys.readouterr().err
+
+    def test_infeasible_fit_exits_4_without_writing_a_fit(
+        self, tmp_path, capsys
+    ):
+        # an exact fit of these rows has T_L = -2 s
+        table = tmp_path / "gamma.csv"
+        table.write_text(
+            "name,t_p,gamma,bandwidth_model,sharing\n"
+            "a,1,1,base,1\nb,10,1,scaled,1\nc,46,1,scaled_shared,4\n",
+            encoding="utf-8",
+        )
+        artifact = tmp_path / "fit.json"
+        assert main(["calibrate", str(table), "--out", str(artifact)]) == 4
+        assert "infeasible parameters" in capsys.readouterr().err
+        assert not artifact.exists()
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ("a,5,1,base,1\nb,6,1.5,scaled,1\nc,7,1.2,scaled_shared,1",
+             "duplicates: b/c"),
+            ("a,5,1,base,1\nb,6,1.5,scaled,1\nc,7,1.2,scaled,4",
+             "duplicates: b/c"),
+            ("a,5,1,scaled,1\nb,6,1.5,scaled_shared,2\n"
+             "c,7,1.2,scaled_shared,4", "alpha needs a base row"),
+        ],
+        ids=["scaled-vs-shared-by-one", "scaled-sharing-differs", "no-base"],
+    )
+    def test_degenerate_table_exits_4_without_writing_a_fit(
+        self, tmp_path, capsys, rows, message
+    ):
+        table = tmp_path / "gamma.csv"
+        table.write_text(
+            f"name,t_p,gamma,bandwidth_model,sharing\n{rows}\n",
+            encoding="utf-8",
+        )
+        artifact = tmp_path / "fit.json"
+        assert main(["calibrate", str(table), "--out", str(artifact)]) == 4
+        assert message in capsys.readouterr().err
+        assert not artifact.exists()
 
     def test_nan_row_exits_2_without_writing_a_fit(self, tmp_path, capsys):
         table = tmp_path / "nan.csv"

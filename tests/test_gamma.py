@@ -280,6 +280,39 @@ class TestCalibration:
         for pair in duplicates:
             assert pair in str(err.value)
 
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            # sharing 1 on a scaled_shared row is the scaled row's equation
+            (
+                [("base", 1.0), ("scaled", 1.0), ("scaled_shared", 1.0)],
+                "duplicates: b/c",
+            ),
+            # sharing is ignored on scaled rows
+            (
+                [("base", 1.0), ("scaled", 1.0), ("scaled", 4.0)],
+                "duplicates: b/c",
+            ),
+            (
+                [("scaled", 1.0), ("scaled_shared", 2.0),
+                 ("scaled_shared", 4.0)],
+                "single link: alpha needs a base row and a scaled or "
+                "scaled_shared row",
+            ),
+        ],
+        ids=["scaled-vs-shared-by-one", "scaled-sharing-differs", "no-base"],
+    )
+    def test_degenerate_tables_named(self, rows, message):
+        table = [
+            CalibrationInput(name, t_p, gamma, model, sharing)
+            for name, t_p, gamma, (model, sharing) in zip(
+                "abc", (5.0, 6.0, 7.0), (1.0, 1.5, 1.2), rows
+            )
+        ]
+        with pytest.raises(CalibrationDegenerateError) as err:
+            calibrate(table, base_bandwidth=12.0)
+        assert message in str(err.value)
+
     def test_unknown_bandwidth_model_rejected(self):
         with pytest.raises(ValueError, match="bandwidth model"):
             CalibrationInput("x", 1.0, 1.0, "turbo")

@@ -1,7 +1,9 @@
 """Simulated outputs pinned byte for byte across commits.
 
-The digests were recorded from the example configuration at seed 0 and
-from ``predict --json`` on the built-in machine profiles.  A change to the
+The digests were recorded from the example configuration at seed 0, from
+``predict --json`` on the built-in machine profiles, from ``calibrate`` on
+the three-cluster table and from ``analyze`` on the seed-0 ``usage10h``
+windows.  A change to the
 time model, the counters or the serialization moves one of them; update a
 digest only for an intended change of the simulated figures, and record
 why in CHANGES.md.
@@ -9,6 +11,7 @@ why in CHANGES.md.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +60,23 @@ PREDICT_DIGESTS = {
     ("pleiades2plus", 32): "58682384f40729ab66d1361a910c82c3273833afea3ad0c72dcc345b381f6144",
 }
 
+# the three-cluster table of the acceptance tests
+CALIBRATION_CSV = """name,t_p,gamma,bandwidth_model,sharing
+pleiades,13.58,1.44,base,1
+pleiades2,7.56,3.81,scaled,1
+pleiades2plus,7.93,1.60,scaled_shared,4
+"""
+
+CALIBRATE_DIGESTS = {
+    "gamma_fit.json": "61cf094898aafbc08fbe25023fdec6e464364e5c2ca55449649f0396feab2cd3",
+    "stdout": "7dc5517c57ccaa0580002f583078225294f5c79517844a2b44089d8e7dc16ce0",
+}
+
+ANALYZE_DIGESTS = {
+    "usage10h_windows.hist": "3ad2c2ebf2e5336875dea9f20c5bcf5ae2ae4969f8d782619beec2288fbb6bd2",
+    "stdout": "7ae448c1a6a83cd53bb6385081c59c887219af089baf6bf329e30b3f888d8abb",
+}
+
 
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
@@ -86,3 +106,36 @@ def test_predict_json_matches_golden(machine, ranks, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     assert _sha256(stdout.encode("utf-8")) == PREDICT_DIGESTS[machine, ranks]
+
+
+def test_calibrate_outputs_match_golden(tmp_path, monkeypatch, capsys):
+    # relative paths keep the "wrote" line of stdout the same in any directory
+    monkeypatch.chdir(tmp_path)
+    Path("gamma.csv").write_text(CALIBRATION_CSV, encoding="utf-8")
+    assert main(["calibrate", "gamma.csv"]) == 0
+    digests = {
+        "gamma_fit.json": _sha256(Path("gamma_fit.json").read_bytes()),
+        "stdout": _sha256(capsys.readouterr().out.encode("utf-8")),
+    }
+    assert digests == CALIBRATE_DIGESTS
+
+
+def test_analyze_outputs_match_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("semperf.json").write_text(
+        json.dumps(example_config_dict()), encoding="utf-8"
+    )
+    code = main(
+        ["bench", "usage10h", "--config", "semperf.json", "--seed", "0",
+         "--out", "."]
+    )
+    assert code == 0
+    capsys.readouterr()
+    assert main(["analyze", "usage10h_windows.csv"]) == 0
+    digests = {
+        "usage10h_windows.hist": _sha256(
+            Path("usage10h_windows.hist").read_bytes()
+        ),
+        "stdout": _sha256(capsys.readouterr().out.encode("utf-8")),
+    }
+    assert digests == ANALYZE_DIGESTS

@@ -7,6 +7,8 @@ from dataclasses import replace
 import pytest
 
 from semperf.harness import (
+    DEFAULT_WINDOW_S,
+    MAX_WINDOWS,
     CampaignSpec,
     records_to_json,
     records_to_steps_csv,
@@ -210,6 +212,12 @@ class TestTimeBudget:
         a = run_time_budget(self.spec(machines, budget=500.0, seed=9))
         b = run_time_budget(self.spec(machines, budget=500.0, seed=9))
         assert a.window_samples == b.window_samples
+
+    def test_window_cap_refuses_before_sampling(self, machines):
+        # the spec is only built, never run: the cap holds at construction
+        self.spec(machines, budget=MAX_WINDOWS * DEFAULT_WINDOW_S)
+        with pytest.raises(ValueError, match=f"more than {MAX_WINDOWS}"):
+            self.spec(machines, budget=(MAX_WINDOWS + 1) * DEFAULT_WINDOW_S)
 
     def test_exec_mode_rejected(self, machines):
         with pytest.raises(ValueError, match="simulated mode only"):
