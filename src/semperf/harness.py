@@ -140,6 +140,7 @@ class RunRecord:
     window_samples: tuple = ()
     warnings: tuple = ()
     seed: int = 0
+    setup_halo_words: int = None  # executed points only
 
     @property
     def step_walltime(self):
@@ -161,7 +162,7 @@ class RunRecord:
         return s.flops / (self.n_ranks * s.t_p * MEGA)
 
     def to_json_dict(self):
-        return {
+        d = {
             "kind": self.kind,
             "mode": self.mode,
             "machine": self.machine_name,
@@ -180,6 +181,11 @@ class RunRecord:
             "seed": self.seed,
             "steps": [_step_json_dict(s) for s in self.steps],
         }
+        # a modeled point has no setup traffic, and its JSON keeps the
+        # bytes it had before the key existed
+        if self.setup_halo_words is not None:
+            d["setup_halo_words"] = self.setup_halo_words
+        return d
 
 
 def _json_num(x):
@@ -274,6 +280,7 @@ def _executed_point(case, machine, n_ranks, seed=0, kind="point"):
     return _record(
         kind, "exec", machine, case, plan, report.steps, seed,
         warnings=warnings,
+        setup_halo_words=report.setup_halo_words_sent,
     )
 
 

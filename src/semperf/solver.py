@@ -76,7 +76,12 @@ class RankWorker:
     """State and kernels of one rank's block of elements.
 
     A block's arrays are laid out (cz, cy, cx, f, nz, ny, nx): per direction
-    an element axis and a node axis, with the fields in between.
+    an element axis and a node axis, with the fields in between.  A rank
+    holds five of them: rhs, q (which also holds z), x, r and p.  The
+    inverse multiplicity and inverse Jacobi diagonal are one element's
+    tables, which assume one ElementOperator for the whole block; they
+    differ from the assembled tables on the box walls, whose nodes no
+    neighbor shares, so they are exact only for vectors that vanish there.
     """
 
     _EL_AXIS = (2, 1, 0)  # array axis of the element index per direction
@@ -102,14 +107,12 @@ class RankWorker:
         # per direction: the halo (minus, plus, lo, hi, left, right), that is
         # the face neighbors, the block's boundary planes and the planes of
         # its own interior interfaces (None with one element along it); and,
-        # from the block's global element indices g, the factors of the node
-        # multiplicity and coordinates, each shaped to broadcast at the
-        # direction's element and node axes.  A side with no face neighbor
-        # is a box wall: its plane is Dirichlet, and its nodes unshared.
+        # from the block's global element indices g, the coordinates, shaped
+        # to broadcast at the direction's element and node axes.  A side
+        # with no face neighbor is a box wall: its plane is Dirichlet.
         ndim = len(self._arr_shape)
         self._halo = []
         self._coordinates = []
-        mult = 1.0
         walls = np.zeros(self._arr_shape, dtype=bool)
         for ax, ((start, stop), (minus, plus)) in enumerate(
             zip(self.block, plan.neighbors(self.rank))
@@ -122,27 +125,37 @@ class RankWorker:
                 left = _plane_index(ndim, el_ax, slice(None, -1), node_ax, -1)
                 right = _plane_index(ndim, el_ax, slice(1, None), node_ax, 0)
             self._halo.append((minus, plus, lo, hi, left, right))
-            # an element's end nodes are shared with its neighbor along the
-            # axis, save those on a box wall
-            mult_ax = np.ones((stop - start, config.degrees[ax] + 1))
-            mult_ax[:, 0] = mult_ax[:, -1] = 2.0
             if minus is None:
-                mult_ax[0, 0] = 1.0
                 walls[lo] = True
             if plus is None:
-                mult_ax[-1, -1] = 1.0
                 walls[hi] = True
             g = np.arange(start, stop)[:, None]
             coords_ax = (g + (bases[ax].nodes + 1.0) / 2.0) * extents[ax]
             table = [1] * ndim
-            table[el_ax], table[node_ax] = mult_ax.shape
-            mult = mult * mult_ax.reshape(table)
+            table[el_ax], table[node_ax] = coords_ax.shape
             self._coordinates.append(coords_ax.reshape(table))
-        self.inv_mult = np.divide(1.0, mult, out=mult)
         # keep the walls as the flat indices of their nodes (on 8^3
         # elements, N=8, P=1: 242 KB, not 3 MB)
         self._walls = np.flatnonzero(walls)
-        self.inv_diag = None
+
+        # one element's inverse multiplicity and inverse Jacobi diagonal,
+        # shaped (1, 1, 1, 1, nz, ny, nx) to broadcast over the block.  The
+        # multiplicity is a product of 1s and 2s, so exact; the diagonal
+        # sums each direction's end planes in dssum's sweep order (x, y, z)
+        # and pairs (hi + lo), so at every node off the box walls it has
+        # the assembled diagonal's bits.
+        mult = 1.0
+        diag = self.op.diagonal_grid()
+        for degree, node_ax in zip(config.degrees, self._NODE_AXIS):
+            ends = np.ones(degree + 1)
+            ends[[0, -1]] = 2.0
+            table = [1] * ndim
+            table[node_ax] = ends.size
+            mult = mult * ends.reshape(table)
+            planes = np.moveaxis(diag, node_ax - ndim, 0)
+            planes[0] = planes[-1] = planes[-1] + planes[0]
+        self.inv_mult = 1.0 / mult
+        self.inv_diag = 1.0 / diag.reshape(self.inv_mult.shape)
         self.rhs = None
 
     # -- gather-scatter ----------------------------------------------------
@@ -175,8 +188,9 @@ class RankWorker:
     # -- counted kernels ---------------------------------------------------
 
     def _dot_partial(self, u, v):
-        # one pass, no temporaries; inv_mult's size-1 field axis f
-        # broadcasts over the fields
+        # one pass, no temporaries; inv_mult, one element's table,
+        # broadcasts over the elements and fields.  Exact only for u or v
+        # zero on the box walls, as rhs, r, z, p and q are
         self.counter.count(add=u.size, mul=2 * u.size)
         return float(
             np.einsum("zyxfkji,zyxfkji,zyxfkji->", u, v, self.inv_mult)
@@ -195,14 +209,15 @@ class RankWorker:
     # -- setup ---------------------------------------------------------------
 
     def setup(self, forcing=None):
+        """Assemble and mask the load; allocate the CG vectors.
+
+        One gather-scatter, the load's: the multiplicity and Jacobi
+        diagonal are one element's tables, built by ``__init__`` from the
+        block's one operator.  They are exact only for vectors that vanish
+        on the box walls: the masked load does, and so do the r, z and p a
+        step derives from it.
+        """
         forcing = forcing or default_forcing
-        # evaluate the per-element diagonal and the load before the first
-        # full-size copy: numpy keeps freed buffers under 1 KB cached for
-        # the life of the process, and one first allocated between two
-        # full-size arrays left a hole in the heap that the next work
-        # unit's arrays did not fit (fixed-p1 peak RSS 64.2 MB, not
-        # 62.8 MB, under some environment variables and checkout paths)
-        el_diag = self.op.diagonal_grid()
         b = np.broadcast_to(
             forcing(*self._coordinates), self._arr_shape
         ).copy()
@@ -210,10 +225,6 @@ class RankWorker:
         self.dssum(b)
         b.reshape(-1)[self._walls] *= 0.0
         self.rhs = b
-
-        diag = np.broadcast_to(el_diag, self._arr_shape).copy()
-        self.dssum(diag)
-        self.inv_diag = np.divide(1.0, diag, out=diag)
 
         # the CG vectors x, r and p (z shares q's buffer), allocated last so
         # that they can take the memory that setup's temporaries gave back

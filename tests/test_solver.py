@@ -14,7 +14,9 @@ import pytest
 
 from semperf.basis import build_gll_basis
 from semperf.counts import CaseConfig, iteration_flops, step_flops
+from semperf.harness import _executed_point
 from semperf.partition import partition_elements, words_per_step
+from semperf.profiles import builtin_profiles
 from semperf.solver import (
     RankWorker,
     default_forcing,
@@ -179,28 +181,32 @@ class TestWordAccounting:
         "elements,n_ranks,words",
         [
             ((4, 2, 2), 1, 0),
-            ((4, 2, 2), 2, 400),
-            ((4, 2, 2), 3, 800),
-            ((4, 2, 2), 4, 1200),
-            ((4, 2, 2), 8, 2000),
+            ((4, 2, 2), 2, 200),
+            ((4, 2, 2), 3, 400),
+            ((4, 2, 2), 4, 600),
+            ((4, 2, 2), 8, 1000),
             ((3, 3, 3), 1, 0),  # uneven chunks from here on
-            ((3, 3, 3), 2, 900),
-            ((3, 3, 3), 3, 1800),
-            ((3, 3, 3), 4, 1800),
-            ((3, 3, 3), 8, 2700),
+            ((3, 3, 3), 2, 450),
+            ((3, 3, 3), 3, 900),
+            ((3, 3, 3), 4, 900),
+            ((3, 3, 3), 8, 1350),
         ],
     )
-    def test_setup_words_are_two_exchanges(self, elements, n_ranks, words):
-        # the setup sums the diagonal and the right-hand side over the
-        # interfaces: two gather-scatters
+    def test_setup_words_are_one_exchange(self, elements, n_ranks, words):
+        # the setup sums the right-hand side over the interfaces: one
+        # gather-scatter (the Jacobi diagonal is one element's table); an
+        # executed point's record carries the same count
         config = CaseConfig(
             elements=elements, degrees=(4, 4, 4), cg_iters_per_step=1
         )
         plan = partition_elements(config, n_ranks)
         report = run_work_unit(config, plan=plan)
         assert report.setup_halo_words_sent == words == words_per_step(
-            plan, config, 2
+            plan, config, 1
         )
+        machine = builtin_profiles()["cray-xt3-sim"]
+        record = _executed_point(config, machine, n_ranks).to_json_dict()
+        assert record["setup_halo_words"] == words
 
     @pytest.mark.parametrize("n_ranks", range(1, 9))
     def test_rank_records_equal_rank_counts(self, n_ranks):
@@ -302,15 +308,18 @@ class TestDotPartial:
         (endpoint,) = loopback_transport(1)
         worker = RankWorker(config, partition_elements(config, 1), endpoint)
         rng = np.random.default_rng(12)
-        u, v = rng.standard_normal((2, *worker._arr_shape))
-        expected = float(np.sum(u * v * worker.inv_mult))
+        u, v = rng.standard_normal((2, *worker._arr_shape)) * wall_oracle(
+            worker
+        )
+        exact_mult = worker.dssum(np.ones(worker._arr_shape))
+        expected = float(np.sum(u * v / exact_mult))
         assert worker._dot_partial(u, v) == pytest.approx(expected, rel=1e-12)
 
 
 class TestNodeTables:
-    """Multiplicity, Dirichlet mask and coordinates of every rank's block,
-    against oracles built from global indices in the documented layout
-    (cz, cy, cx, f, nz, ny, nx)."""
+    """Element tables, Dirichlet mask and coordinates of every rank's
+    block, against oracles built from global indices in the documented
+    layout (cz, cy, cx, f, nz, ny, nx) or from dssum."""
 
     config = CaseConfig(elements=(3, 3, 3), degrees=(4, 2, 3), n_fields=2)
 
@@ -327,13 +336,46 @@ class TestNodeTables:
         with ThreadPoolExecutor(max_workers=len(workers)) as pool:
             return list(pool.map(fn, workers))
 
-    def test_multiplicity_is_what_dssum_counts(self, workers):
-        counted = self.on_every_rank(
-            workers, lambda w: w.dssum(np.ones(w._arr_shape))
-        )
-        for worker, count in zip(workers, counted):
-            mult = np.broadcast_to(1.0 / worker.inv_mult, count.shape)
-            assert mult.tobytes() == count.tobytes()
+    @pytest.mark.parametrize("n_ranks", range(1, 9))
+    def test_element_tables_match_exact_ones_off_the_walls(self, n_ranks):
+        # one element's inverse multiplicity and inverse Jacobi diagonal
+        # serve the block: against the exact tables that dssum builds they
+        # agree off the box walls, and so on every wall-masked vector
+        config = CaseConfig(elements=(4, 3, 7), degrees=(4, 3, 5), n_fields=2)
+        plan = partition_elements(config, n_ranks)
+        workers = [
+            RankWorker(config, plan, endpoint)
+            for endpoint in loopback_transport(plan.n_ranks)
+        ]
+
+        def exact_tables(worker):
+            shape = worker._arr_shape
+            mult = worker.dssum(np.ones(shape))
+            diag = np.broadcast_to(worker.op.diagonal_grid(), shape).copy()
+            return mult, worker.dssum(diag)
+
+        for worker, (mult, diag) in zip(
+            workers, self.on_every_rank(workers, exact_tables)
+        ):
+            shape = worker._arr_shape
+            # the reciprocals, as solve-ready tables: 1 / (1 / d) need
+            # not give back the bits of d
+            off_wall = wall_oracle(worker) == 1.0
+            for table, exact_table in (
+                (worker.inv_mult, mult), (worker.inv_diag, diag)
+            ):
+                got = np.broadcast_to(table, shape)[off_wall]
+                expected = 1.0 / exact_table[off_wall]
+                assert got.tobytes() == expected.tobytes()
+
+            rng = np.random.default_rng(worker.rank)
+            u, v = rng.standard_normal((2, *shape)) * wall_oracle(worker)
+            assert (u * v * worker.inv_mult).tobytes() == (
+                u * v * (1.0 / mult)
+            ).tobytes()
+            assert (worker.inv_diag * u).tobytes() == (
+                (1.0 / diag) * u
+            ).tobytes()
 
     def test_mask_zero_exactly_on_the_box_boundary(self, workers):
         # setup masks the assembled load: with a random signed load, the
@@ -639,16 +681,17 @@ class TestStepMemory:
     full_array = 8 * 8**3 * 9**3  # bytes of one float64 field
 
     def test_unit_peak_stays_below_eight_full_arrays(self):
-        # rhs, inv_diag, inv_mult, q (which also holds z) and the three CG
-        # vectors x, r and p, plus setup's transient tables; a full-size
-        # array allocated per step, or held across steps, would make it nine
+        # five full-size arrays: rhs, q (which also holds z) and the three
+        # CG vectors x, r and p, plus setup's transient load; inv_diag and
+        # inv_mult are one element's tables.  Full-size tables, or a
+        # full-size array allocated per step, would take it past six
         tracemalloc.start()
         try:
             run_work_unit(self.config, n_ranks=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / self.full_array < 8
+        assert peak / self.full_array < 6
 
     def test_later_step_allocates_under_half_a_full_array(self):
         # the worker owns x, r, p and q (z's buffer), so a step after the
