@@ -336,6 +336,17 @@ class TestNodeTables:
         with ThreadPoolExecutor(max_workers=len(workers)) as pool:
             return list(pool.map(fn, workers))
 
+    def test_multiplicity_is_what_dssum_counts(self, workers):
+        # the element table holds the count of every node off the box
+        # walls; the counts are powers of two, so the reciprocal is exact
+        counted = self.on_every_rank(
+            workers, lambda w: w.dssum(np.ones(w._arr_shape))
+        )
+        for worker, count in zip(workers, counted):
+            off_wall = wall_oracle(worker) == 1.0
+            mult = np.broadcast_to(1.0 / worker.inv_mult, count.shape)
+            assert mult[off_wall].tobytes() == count[off_wall].tobytes()
+
     @pytest.mark.parametrize("n_ranks", range(1, 9))
     def test_element_tables_match_exact_ones_off_the_walls(self, n_ranks):
         # one element's inverse multiplicity and inverse Jacobi diagonal
