@@ -14,6 +14,8 @@ from .counts import WORD_BYTES, CaseConfig  # CaseConfig: perfbench/child.py
 # Bytes of each of the operator's two scratch arrays, and so of the element
 # blocks it works through: at N=8 (729 points) a block is 44 elements, and
 # its input, output and both scratch arrays (about 1 MB) stay in a 2 MB L2.
+# The solver's CG vector pass takes its x, r, p and q blocks by the same
+# rule (``ElementOperator.block_elements``), so those four fit as well.
 BLOCK_BYTES = 256 * 1024
 
 _AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
@@ -149,9 +151,10 @@ class ElementOperator:
         )
         # element views of an operand as the x, y and z products see it
         self._views = ((-1, nz * ny, nx), (-1, nz, ny, nx), (-1, nz, ny * nx))
-        # two block-sized scratch arrays, t in all three views and u in the
-        # y and z views
+        # elements per block, and two block-sized scratch arrays, t in all
+        # three views and u in the y and z views
         block = max(1, BLOCK_BYTES // (WORD_BYTES * nx * ny * nz))
+        self.block_elements = block
         t, u = np.empty((2, block * nx * ny * nz))
         self._scratch = (
             *(t.reshape(v) for v in self._views),

@@ -101,8 +101,17 @@ class RankWorker:
         cx, cy, cz = (stop - start for start, stop in self.block)
         nx, ny, nz = (n + 1 for n in config.degrees)
         self._arr_shape = (cz, cy, cx, config.n_fields, nz, ny, nx)
-        # matvec's output and, from a p update to the next matvec, z
+        # matvec's output and, from a p update to the next matvec, z; and
+        # its flat view, through which matvec masks the walls
         self._q = np.empty(self._arr_shape)
+        self._q_flat = self._q.reshape(-1)
+        # the operator's element blocks, as row slices of a vector's
+        # element-major (elements, points) view
+        n_rows = math.prod(self._arr_shape[:4])
+        step = self.op.block_elements
+        self._block_rows = tuple(
+            slice(lo, lo + step) for lo in range(0, n_rows, step)
+        )
 
         # per direction: the halo (minus, plus, lo, hi, left, right), that is
         # the face neighbors, the block's boundary planes and the planes of
@@ -156,6 +165,8 @@ class RankWorker:
             planes[0] = planes[-1] = planes[-1] + planes[0]
         self.inv_mult = 1.0 / mult
         self.inv_diag = 1.0 / diag.reshape(self.inv_mult.shape)
+        # inv_mult as one element's row of points: the dots' weights
+        self._weights = self.inv_mult.reshape(-1)
         self.rhs = None
 
     # -- gather-scatter ----------------------------------------------------
@@ -187,23 +198,39 @@ class RankWorker:
 
     # -- counted kernels ---------------------------------------------------
 
+    def _row_blocks(self, arr):
+        # arr's element-major (elements, points) view, cut into the
+        # operator's element blocks
+        rows = arr.reshape(-1, self._weights.size)
+        return [rows[s] for s in self._block_rows]
+
+    def _block_dot(self, u_blocks, v_blocks):
+        # per block, the column sums over its elements of u * v, then one
+        # dot with inv_mult, one element's weights; the block partials add
+        # in block order.  The column sums run in numpy's own loops and the
+        # dot is one element long, so no BLAS call is long enough to reach
+        # a helper thread.  run_step's fused pass takes rz and rr in this
+        # form, block by block, so both give the same bits
+        w = self._weights
+        total = 0.0
+        for ub, vb in zip(u_blocks, v_blocks):
+            total += np.einsum("ek,ek->k", ub, vb).dot(w)
+        return total
+
     def _dot_partial(self, u, v):
-        # one pass, no temporaries; inv_mult, one element's table,
-        # broadcasts over the elements and fields.  Exact only for u or v
-        # zero on the box walls, as rhs, r, z, p and q are
+        # exact only for u or v zero on the box walls, as rhs, r, z, p and
+        # q are
         self.counter.count(add=u.size, mul=2 * u.size)
-        return float(
-            np.einsum("zyxfkji,zyxfkji,zyxfkji->", u, v, self.inv_mult)
-        )
+        return self._block_dot(self._row_blocks(u), self._row_blocks(v))
 
     def _allreduce(self, *partials):
-        return allreduce_sum(self.endpoint, np.array(partials))
+        return allreduce_sum(self.endpoint, partials)
 
     def matvec(self, p):
         q = self.op.apply_grid(p, counter=self.counter, out=self._q)
         self.dssum(q)
         # the Dirichlet mask: the same bits as q * mask, -0.0 included
-        q.reshape(-1)[self._walls] *= 0.0
+        self._q_flat[self._walls] *= 0.0
         return q
 
     # -- setup ---------------------------------------------------------------
@@ -227,9 +254,13 @@ class RankWorker:
         self.rhs = b
 
         # the CG vectors x, r and p (z shares q's buffer), allocated last so
-        # that they can take the memory that setup's temporaries gave back
+        # that they can take the memory that setup's temporaries gave back;
+        # and the block views of x, r, p and q that run_step works through
         self._x, self._r, self._p = (
             np.empty(self._arr_shape) for _ in range(3)
+        )
+        self._vector_blocks = tuple(
+            self._row_blocks(a) for a in (self._x, self._r, self._p, self._q)
         )
 
     # -- the work step -------------------------------------------------------
@@ -242,6 +273,9 @@ class RankWorker:
         # arrays: run_step returns x, and the next step overwrites it; z
         # is q's buffer, read last by the p update before the next matvec
         x, r, z, p = self._x, self._r, self._q, self._p
+        xs, rs, ps, qs = self._vector_blocks
+        blocks = tuple(zip(xs, rs, ps, qs))
+        w, inv_diag = self._weights, self.inv_diag.reshape(-1)
         x.fill(0.0)
         np.copyto(r, self.rhs)
         np.multiply(self.inv_diag, r, out=z)
@@ -259,33 +293,37 @@ class RankWorker:
             if rho == 0.0 or (threshold is not None and rr <= threshold):
                 break
             counted = self.counter.additions, self.counter.multiplications
-            q = self.matvec(p)
-            den, = self._allreduce(self._dot_partial(p, q))
+            self.matvec(p)
+            den, = self._allreduce(self._block_dot(ps, qs))
             if den == 0.0:
                 # p.q underflowed while rho did not: stop, and take this
-                # unfinished iteration's operator and p.q partial off the
-                # tally, so the step counts step_flops(config, P, iters)
+                # unfinished iteration's operator off the tally, so the
+                # step counts step_flops(config, P, iters)
                 self.counter.additions, self.counter.multiplications = counted
                 break
             alpha = rho / den
-            self.counter.count(div=1)
-            # in place, with q (dead after the r update) as scratch and
-            # then as z; same bits as r -= alpha * q, x += alpha * p and
-            # z = inv_diag * r
-            q *= alpha
-            r -= q
-            np.multiply(p, alpha, out=q)
-            x += q
-            np.multiply(self.inv_diag, r, out=z)
-            self.counter.count(add=2 * size, mul=3 * size)
-            rho_new, rr = self._allreduce(
-                self._dot_partial(r, z), self._dot_partial(r, r)
-            )
+            # one pass over the operator's element blocks, each hot in L2,
+            # in place with q (dead after the r update) as scratch and then
+            # as z: the same bits as r -= alpha * q, x += alpha * p and
+            # z = inv_diag * r; then the block's rz and rr partials, in
+            # _block_dot's form and block order
+            rz_part = rr_part = 0.0
+            for xb, rb, pb, qb in blocks:
+                qb *= alpha
+                rb -= qb
+                np.multiply(pb, alpha, out=qb)
+                xb += qb
+                np.multiply(inv_diag, rb, out=qb)
+                rz_part += np.einsum("ek,ek->k", rb, qb).dot(w)
+                rr_part += np.einsum("ek,ek->k", rb, rb).dot(w)
+            rho_new, rr = self._allreduce(rz_part, rr_part)
             beta = rho_new / rho
-            self.counter.count(div=1)
             p *= beta
             p += z  # same bits as z + beta * p
-            self.counter.count(add=size, mul=size)
+            # the iteration's vector flops in one call: the p.q, rz and rr
+            # partials (3 per point each), the x, r and z updates (5), the
+            # p update (2), alpha and beta
+            self.counter.count(add=6 * size, mul=10 * size, div=2)
             rho = rho_new
             iters += 1
         return x, iters, math.sqrt(rr / rr0)

@@ -111,10 +111,10 @@ def allreduce_sum(endpoint, values):
     ascending rank order, so every rank gets bitwise-identical sums after
     one hop.
     """
-    values = np.atleast_1d(np.asarray(values, dtype=float))
+    values = np.array(values, dtype=float, ndmin=1)
     rank, n_ranks = endpoint.rank, endpoint.n_ranks
     if n_ranks == 1:
-        return values.copy()
+        return values
     for peer in range(n_ranks):
         if peer != rank:
             endpoint.send(peer, values, tag="reduce")

@@ -293,8 +293,9 @@ class TestBlockedOperator:
             op.apply_grid(grid, out=out)
 
 
-# Times 20 applications of the fixed case (8^3 elements, N=8) with the BLAS
-# threading of the environment; prints process and calling-thread CPU.
+# With the BLAS threading of the environment, times 20 applications of the
+# fixed case (8^3 elements, N=8), then three 20-iteration work steps of a P=1
+# rank on it; prints process and calling-thread CPU of each.
 APPLY_CPU_SCRIPT = textwrap.dedent(
     """
     import time
@@ -302,22 +303,36 @@ APPLY_CPU_SCRIPT = textwrap.dedent(
     import numpy as np
 
     from semperf.basis import build_gll_basis
+    from semperf.counts import CaseConfig
     from semperf.kernel import ElementOperator
+    from semperf.partition import partition_elements
+    from semperf.solver import RankWorker
+    from semperf.transport import loopback_transport
+
+    def cpu(run, repeats):
+        run()
+        process0, thread0 = time.process_time(), time.thread_time()
+        for _ in range(repeats):
+            run()
+        print(time.process_time() - process0, time.thread_time() - thread0)
 
     op = ElementOperator(tuple(build_gll_basis(8) for _ in range(3)), (0.125,) * 3)
     grid = np.random.default_rng(0).standard_normal((8, 8, 8, 1, 9, 9, 9))
-    op.apply_grid(grid)
-    process0, thread0 = time.process_time(), time.thread_time()
-    for _ in range(20):
-        op.apply_grid(grid)
-    print(time.process_time() - process0, time.thread_time() - thread0)
+    cpu(lambda: op.apply_grid(grid), 20)
+
+    config = CaseConfig(elements=(8, 8, 8), degrees=(8, 8, 8))
+    (endpoint,) = loopback_transport(1)
+    worker = RankWorker(config, partition_elements(config, 1), endpoint)
+    worker.setup()
+    cpu(lambda: worker.run_step(max_iters=20), 3)
     """
 )
 
 
 def test_apply_grid_keeps_blas_on_the_calling_thread():
-    # a GEMM large enough for BLAS helper threads burns process CPU that the
-    # rank's thread CPU (what the step timers see) does not show
+    # a GEMM or a dot large enough for BLAS helper threads burns process
+    # CPU that the rank's thread CPU (what the step timers see) does not
+    # show: in the operator, and in a work step's vector updates and dots
     repo = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", APPLY_CPU_SCRIPT],
@@ -327,5 +342,8 @@ def test_apply_grid_keeps_blas_on_the_calling_thread():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    process_s, thread_s = (float(v) for v in proc.stdout.split())
-    assert process_s <= 1.25 * thread_s + 0.05
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2  # apply_grid, then run_step
+    for line in lines:
+        process_s, thread_s = (float(v) for v in line.split())
+        assert process_s <= 1.25 * thread_s + 0.05

@@ -15,6 +15,7 @@ import pytest
 from semperf.basis import build_gll_basis
 from semperf.counts import CaseConfig, iteration_flops, step_flops
 from semperf.harness import _executed_point
+from semperf.kernel import ElementOperator
 from semperf.partition import partition_elements, words_per_step
 from semperf.profiles import builtin_profiles
 from semperf.solver import (
@@ -149,7 +150,7 @@ class TestWordAccounting:
             ((4, 2, 2), 7, None, 3, 7, 0, 138),
             ((4, 2, 2), 7, None, 4, 7, 0, 276),
             # rho reaches 0: the stop comes before the iteration's reductions
-            ((2, 2, 2), 2000, None, 2, 360, 0, 2164),
+            ((2, 2, 2), 2000, None, 2, 354, 0, 2128),
             # p.q underflows: the stop comes after that one-word reduction
             ((2, 2, 2), 3, 4e-161, 2, 0, 1, 6),
         ],
@@ -683,6 +684,35 @@ class TestInPlaceLoop:
         for key, grid in product.fields.items():
             assert grid.tobytes() == reference.fields[key].tobytes()
 
+    # 96 elements of 729 points against 44-element blocks: 3 blocks, the
+    # last of 8, at P=1; 2 per rank, the second of 4, at P=2; one-block
+    # ranks and a three-way reduction at P=3
+    @pytest.mark.parametrize("n_ranks", [1, 2, 3])
+    def test_matches_reference_across_element_blocks(
+        self, monkeypatch, n_ranks
+    ):
+        config = CaseConfig(
+            elements=(6, 4, 4), degrees=(8, 8, 8), steps=2,
+            cg_iters_per_step=6,
+        )
+        assert ElementOperator(build_gll_basis(8)).block_elements == 44
+
+        def run():
+            return run_work_unit(
+                config, n_ranks=n_ranks, forcing=self.rough_forcing,
+                collect_fields=True,
+            )
+
+        product = run()
+        monkeypatch.setattr(RankWorker, "run_step", ref_cg_step)
+        reference = run()
+        assert [replace(s, walltime=0.0) for s in product.steps] == [
+            replace(s, walltime=0.0) for s in reference.steps
+        ]
+        assert product.fields.keys() == reference.fields.keys()
+        for key, grid in product.fields.items():
+            assert grid.tobytes() == reference.fields[key].tobytes()
+
 
 class TestStepMemory:
     # the fixed 8^3, N=8 case at P=1 with a short budget
@@ -691,7 +721,7 @@ class TestStepMemory:
     )
     full_array = 8 * 8**3 * 9**3  # bytes of one float64 field
 
-    def test_unit_peak_stays_below_eight_full_arrays(self):
+    def test_unit_peak_stays_below_six_full_arrays(self):
         # five full-size arrays: rhs, q (which also holds z) and the three
         # CG vectors x, r and p, plus setup's transient load; inv_diag and
         # inv_mult are one element's tables.  Full-size tables, or a
