@@ -13,9 +13,10 @@ from .counts import WORD_BYTES, CaseConfig  # CaseConfig: perfbench/child.py
 
 # Bytes of each of the operator's two scratch arrays, and so of the element
 # blocks it works through: at N=8 (729 points) a block is 44 elements, and
-# its input, output and both scratch arrays (about 1 MB) stay in a 2 MB L2.
-# The solver's CG vector pass takes its x, r, p and q blocks by the same
-# rule (``ElementOperator.block_elements``), so those four fit as well.
+# its input, output, both scratch arrays and one block-shaped weight table
+# (about 1.28 MB) stay in a 2 MB L2.  The solver's CG vector pass takes its
+# x, r, p and q blocks by the same rule (``ElementOperator.block_elements``),
+# so those four and the Jacobi table fit as well.
 BLOCK_BYTES = 256 * 1024
 
 _AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
@@ -139,15 +140,10 @@ class ElementOperator:
         )
         self.mass_weights = jac * w3
         nx, ny, nz = self.shape
-        swx, swy, swz = self.scaled_weights
-        # per direction: D, a contiguous D^T, and the weights in the layout
-        # the direction's products see
+        # per direction: D and a contiguous D^T
         self._passes = tuple(
-            (b.diff_matrix, np.ascontiguousarray(b.diff_matrix.T), sw)
-            for b, sw in zip(
-                self.bases,
-                (swx.reshape(nz * ny, nx), swy, swz.reshape(nz, ny * nx)),
-            )
+            (b.diff_matrix, np.ascontiguousarray(b.diff_matrix.T))
+            for b in self.bases
         )
         # element views of an operand as the x, y and z products see it
         self._views = ((-1, nz * ny, nx), (-1, nz, ny, nx), (-1, nz, ny * nx))
@@ -160,10 +156,28 @@ class ElementOperator:
             *(t.reshape(v) for v in self._views),
             *(u.reshape(v) for v in self._views[1:]),
         )
+        # the scaled weights tiled to a block, sized by apply_grid to the
+        # most elements it has been given, up to a block
+        self._tile_weights(0)
         # counted adds and muls per grid point of one application
         per_axis = 2 * (nx + ny + nz)
         self._adds_per_point = per_axis + 2
         self._muls_per_point = per_axis + 3
+
+    def _tile_weights(self, rows):
+        # per direction, its scaled weights repeated over `rows` elements in
+        # the direction's view, so a block's scaling multiplies operands of
+        # one shape; bitwise-equal tables (all three on a cubic element)
+        # share one tile
+        tiles = {}
+        for sw in self.scaled_weights:
+            key = sw.tobytes()
+            if key not in tiles:
+                tiles[key] = np.tile(sw.reshape(-1), (rows, 1))
+        self._weight_tiles = tuple(
+            tiles[sw.tobytes()].reshape(view)
+            for sw, view in zip(self.scaled_weights, self._views)
+        )
 
     def apply_grid(self, grid, counter=None, out=None):
         """Apply the operator; grid may carry leading batch axes.
@@ -177,7 +191,9 @@ class ElementOperator:
         right, y on every (ny, nx) plane from the left, z on every
         element's (nz, ny*nx) view from the left.  Each product is a stack
         of per-element matrices, small enough that BLAS runs it on the
-        calling thread.  The x term is written into the output and the y
+        calling thread.  The weight scalings multiply by the operator's
+        tables tiled to the block's shape, not by one element's table
+        broadcast over it.  The x term is written into the output and the y
         and z terms are added to it in that order, so the result does not
         depend on the blocking.
 
@@ -205,27 +221,31 @@ class ElementOperator:
             )
         elif np.may_share_memory(out, grid):
             raise ValueError("out must not share memory with grid")
-        (dx, dxt, swx), (dy, dyt, swy), (dz, dzt, swz) = self._passes
+        (dx, dxt), (dy, dyt), (dz, dzt) = self._passes
         vx, vy, vz = self._views
         gx, gy, gz = grid.reshape(vx), grid.reshape(vy), grid.reshape(vz)
         ox, oy, oz = out.reshape(vx), out.reshape(vy), out.reshape(vz)
         tx, ty, tz, uy, uz = self._scratch
         block = len(tx)
         n_el = len(gx)
+        rows = min(block, n_el)
+        if len(self._weight_tiles[0]) < rows:
+            self._tile_weights(rows)
+        wx, wy, wz = self._weight_tiles
         for lo in range(0, n_el, block):
             b = min(block, n_el - lo)
             el = slice(lo, lo + b)
             t = tx[:b]
             np.matmul(gx[el], dxt, out=t)
-            t *= swx
+            t *= wx[:b]
             np.matmul(t, dx, out=ox[el])
             t, u, o = ty[:b], uy[:b], oy[el]
             np.matmul(dy, gy[el], out=t)
-            t *= swy
+            t *= wy[:b]
             o += np.matmul(dyt, t, out=u)
             t, u, o = tz[:b], uz[:b], oz[el]
             np.matmul(dz, gz[el], out=t)
-            t *= swz
+            t *= wz[:b]
             o += np.matmul(dzt, t, out=u)
         if counter is not None:
             npts = grid.size

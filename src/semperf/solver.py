@@ -106,11 +106,12 @@ class RankWorker:
         self._q = np.empty(self._arr_shape)
         self._q_flat = self._q.reshape(-1)
         # the operator's element blocks, as row slices of a vector's
-        # element-major (elements, points) view
+        # element-major (elements, points) view, the last one clipped to
+        # the rank's rows
         n_rows = math.prod(self._arr_shape[:4])
         step = self.op.block_elements
         self._block_rows = tuple(
-            slice(lo, lo + step) for lo in range(0, n_rows, step)
+            slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)
         )
 
         # per direction: the halo (minus, plus, lo, hi, left, right), that is
@@ -167,6 +168,11 @@ class RankWorker:
         self.inv_diag = 1.0 / diag.reshape(self.inv_mult.shape)
         # inv_mult as one element's row of points: the dots' weights
         self._weights = self.inv_mult.reshape(-1)
+        # inv_diag tiled to the first block's rows, at most the rank's
+        # elements, so run_step's z update multiplies operands of one shape
+        self._diag_tile = np.tile(
+            self.inv_diag.reshape(-1), (self._block_rows[0].stop, 1)
+        )
         self.rhs = None
 
     # -- gather-scatter ----------------------------------------------------
@@ -255,13 +261,16 @@ class RankWorker:
 
         # the CG vectors x, r and p (z shares q's buffer), allocated last so
         # that they can take the memory that setup's temporaries gave back;
-        # and the block views of x, r, p and q that run_step works through
+        # and the block views of x, r, p, q and the Jacobi tile that
+        # run_step works through
         self._x, self._r, self._p = (
             np.empty(self._arr_shape) for _ in range(3)
         )
-        self._vector_blocks = tuple(
+        xs, rs, ps, qs = (
             self._row_blocks(a) for a in (self._x, self._r, self._p, self._q)
         )
+        ds = [self._diag_tile[:len(b)] for b in xs]
+        self._vector_blocks = xs, rs, ps, qs, ds
 
     # -- the work step -------------------------------------------------------
 
@@ -273,9 +282,9 @@ class RankWorker:
         # arrays: run_step returns x, and the next step overwrites it; z
         # is q's buffer, read last by the p update before the next matvec
         x, r, z, p = self._x, self._r, self._q, self._p
-        xs, rs, ps, qs = self._vector_blocks
-        blocks = tuple(zip(xs, rs, ps, qs))
-        w, inv_diag = self._weights, self.inv_diag.reshape(-1)
+        xs, rs, ps, qs, ds = self._vector_blocks
+        blocks = tuple(zip(xs, rs, ps, qs, ds))
+        w = self._weights
         x.fill(0.0)
         np.copyto(r, self.rhs)
         np.multiply(self.inv_diag, r, out=z)
@@ -308,18 +317,20 @@ class RankWorker:
             # z = inv_diag * r; then the block's rz and rr partials, in
             # _block_dot's form and block order
             rz_part = rr_part = 0.0
-            for xb, rb, pb, qb in blocks:
+            for xb, rb, pb, qb, db in blocks:
                 qb *= alpha
                 rb -= qb
                 np.multiply(pb, alpha, out=qb)
                 xb += qb
-                np.multiply(inv_diag, rb, out=qb)
+                np.multiply(db, rb, out=qb)
                 rz_part += np.einsum("ek,ek->k", rb, qb).dot(w)
                 rr_part += np.einsum("ek,ek->k", rb, rb).dot(w)
             rho_new, rr = self._allreduce(rz_part, rr_part)
             beta = rho_new / rho
-            p *= beta
-            p += z  # same bits as z + beta * p
+            # the p update in the same blocks: the same bits as z + beta * p
+            for _, _, pb, zb, _ in blocks:
+                pb *= beta
+                pb += zb
             # the iteration's vector flops in one call: the p.q, rz and rr
             # partials (3 per point each), the x, r and z updates (5), the
             # p update (2), alpha and beta

@@ -93,9 +93,12 @@ def reference_apply_grid(op, grid):
     element in one batched matmul with fresh temporaries: the blocked
     operator must reproduce it bit for bit.
     """
-    (dx, dxt, swx), (dy, dyt, swy), (dz, dzt, swz) = op._passes
+    (dx, dxt), (dy, dyt), (dz, dzt) = op._passes
     lead = grid.shape[:-3]
     nz, ny, nx = grid.shape[-3:]
+    # one element's scaled weights, broadcast over the batch
+    swx, swy, swz = op.scaled_weights
+    swx, swz = swx.reshape(nz * ny, nx), swz.reshape(nz, ny * nx)
     t = grid.reshape(*lead, nz * ny, nx) @ dxt
     t *= swx
     out = (t @ dx).reshape(grid.shape)
@@ -166,9 +169,12 @@ def ref_cg_step(worker, rtol=None, max_iters=None):
     while iters < max_iters:
         if rho == 0.0 or (threshold is not None and rr <= threshold):
             break
+        counted = counter.additions, counter.multiplications
         q = worker.matvec(p)
         den, = worker._allreduce(worker._dot_partial(p, q))
         if den == 0.0:
+            # the unfinished iteration counts nothing
+            counter.additions, counter.multiplications = counted
             break
         alpha = rho / den
         counter.count(div=1)

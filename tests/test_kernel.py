@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -225,22 +226,29 @@ def block_elements(points_per_element):
     return BLOCK_BYTES // (WORD_BYTES * points_per_element)
 
 
+BOX = (0.125, 0.25, 0.5)  # three distinct scaled-weight tables
+CUBE = (0.125, 0.125, 0.125)  # one table, shared by the three directions
+
+
 class TestBlockedOperator:
-    # (degrees, batch shape): the 8^3, N=8 rank array (at 256 KB, 11
-    # blocks of 44 and a remainder of 28), an exact multiple of the block,
-    # two fields with anisotropic degrees over 2 full blocks and a
-    # remainder, and one bare element
+    # (degrees, batch shape, extents): the 8^3, N=8 rank array (at 256 KB,
+    # 11 blocks of 44 and a remainder of 28) on box and cubic elements, an
+    # exact multiple of the block, two fields with anisotropic degrees over
+    # 2 full blocks and a remainder, one bare element, and a (2, 2, 1)
+    # N=4 rank array, whose 4 elements are far short of a 262-element block
     CASES = {
-        "fixed-case": ((8, 8, 8), (8, 8, 8, 1)),
-        "whole-blocks": ((8, 8, 8), (2, block_elements(729), 1)),
-        "two-fields": ((2, 3, 4), (7, 9, 11, 2)),
-        "one-element": ((4, 4, 4), ()),
+        "fixed-case": ((8, 8, 8), (8, 8, 8, 1), BOX),
+        "cubic-fixed-case": ((8, 8, 8), (8, 8, 8, 1), CUBE),
+        "whole-blocks": ((8, 8, 8), (2, block_elements(729), 1), BOX),
+        "two-fields": ((2, 3, 4), (7, 9, 11, 2), BOX),
+        "one-element": ((4, 4, 4), (), BOX),
+        "short-tile": ((4, 4, 4), (1, 2, 2, 1), CUBE),
     }
 
     @staticmethod
-    def operator_and_grid(degrees, batch):
+    def operator_and_grid(degrees, batch, extents=BOX):
         bases = tuple(build_gll_basis(n) for n in degrees)
-        op = ElementOperator(bases, (0.125, 0.25, 0.5))
+        op = ElementOperator(bases, extents)
         nx, ny, nz = op.shape
         grid = np.random.default_rng(5).standard_normal((*batch, nz, ny, nx))
         return op, grid
@@ -260,6 +268,19 @@ class TestBlockedOperator:
         assert out.tobytes() == expected
         assert op.apply_grid(grid).tobytes() == expected
         assert grid.tobytes() == before.tobytes()
+        # one weight tile per distinct table, each as long as the grid's
+        # elements, up to a block
+        tiles = {t.ctypes.data: len(t) for t in op._weight_tiles}
+        assert len(tiles) == (1 if self.CASES[case][2] == CUBE else 3)
+        n_el = grid.size // math.prod(op.shape)
+        assert set(tiles.values()) == {min(op.block_elements, n_el)}
+
+    def test_tiles_grow_to_the_largest_grid_up_to_a_block(self):
+        op, grid = self.operator_and_grid((8, 8, 8), (100,))
+        for n_el, rows in ((3, 3), (2, 3), (100, 44), (3, 44)):
+            expected = reference_apply_grid(op, grid[:n_el]).tobytes()
+            assert op.apply_grid(grid[:n_el]).tobytes() == expected
+            assert {len(t) for t in op._weight_tiles} == {rows}
 
     @pytest.mark.parametrize(
         "make_out",

@@ -713,6 +713,42 @@ class TestInPlaceLoop:
         for key, grid in product.fields.items():
             assert grid.tobytes() == reference.fields[key].tobytes()
 
+    # the two early stops: rho reaches 0 (at P=2 after 354 of 2000
+    # iterations), and p.q underflows while rho does not (a load scaled by
+    # 4e-161 stops inside the first iteration)
+    @pytest.mark.parametrize(
+        "budget, scale, n_ranks",
+        [
+            pytest.param(2000, 1.0, 2, id="rho-zero"),
+            pytest.param(3, 4e-161, 1, id="pq-underflow-p1"),
+            pytest.param(3, 4e-161, 2, id="pq-underflow-p2"),
+        ],
+    )
+    def test_early_stops_match_reference_bitwise(
+        self, monkeypatch, budget, scale, n_ranks
+    ):
+        config = CaseConfig(
+            elements=(2, 2, 2), degrees=(4, 4, 4), cg_iters_per_step=budget
+        )
+
+        def run():
+            return run_work_unit(
+                config, n_ranks=n_ranks,
+                forcing=lambda *xyz: scale * default_forcing(*xyz),
+                collect_fields=True,
+            )
+
+        product = run()
+        assert product.iterations[0] == (354 if budget == 2000 else 0)
+        monkeypatch.setattr(RankWorker, "run_step", ref_cg_step)
+        reference = run()
+        assert [replace(s, walltime=0.0) for s in product.steps] == [
+            replace(s, walltime=0.0) for s in reference.steps
+        ]
+        assert product.fields.keys() == reference.fields.keys()
+        for key, grid in product.fields.items():
+            assert grid.tobytes() == reference.fields[key].tobytes()
+
 
 class TestStepMemory:
     # the fixed 8^3, N=8 case at P=1 with a short budget
@@ -753,6 +789,30 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         assert (peak - base) / self.full_array < 0.5
+
+    # a (2, 2, 1) rank at N=4, as on latency-p2 (4 elements against a
+    # 262-element block), and the 8^3, N=8 rank (512 against 44): every
+    # block table, the Jacobi tile and the operator's weight tiles, has
+    # min(block, the rank's elements) rows, and the blocks end at the
+    # rank's last element
+    @pytest.mark.parametrize(
+        "elements, degree, rows", [((2, 2, 1), 4, 4), ((8, 8, 8), 8, 44)]
+    )
+    def test_block_tables_hold_no_more_than_the_rank_s_elements(
+        self, elements, degree, rows
+    ):
+        config = CaseConfig(
+            elements=elements, degrees=(degree,) * 3, cg_iters_per_step=2
+        )
+        (endpoint,) = loopback_transport(1)
+        worker = RankWorker(config, partition_elements(config, 1), endpoint)
+        worker.setup()
+        worker.run_step()
+        tables = (worker._diag_tile, *worker.op._weight_tiles)
+        assert [len(t) for t in tables] == [rows] * 4
+        n_el = math.prod(elements)
+        assert worker._block_rows[-1].stop == n_el
+        assert sum(s.stop - s.start for s in worker._block_rows) == n_el
 
 
 class TestConvergence:
