@@ -16,7 +16,8 @@ from .counts import WORD_BYTES, CaseConfig  # CaseConfig: perfbench/child.py
 # its input, output, both scratch arrays and one block-shaped weight table
 # (about 1.28 MB) stay in a 2 MB L2.  The solver's CG vector pass takes its
 # x, r, p and q blocks by the same rule (``ElementOperator.block_elements``),
-# so those four and the Jacobi table fit as well.
+# so those four and the Jacobi table fit as well; the step's start-up, once
+# per step, reads the block of the right-hand side beside them.
 BLOCK_BYTES = 256 * 1024
 
 _AXIS_NAMES = {"x": 0, "y": 1, "z": 2}

@@ -77,11 +77,14 @@ class RankWorker:
 
     A block's arrays are laid out (cz, cy, cx, f, nz, ny, nx): per direction
     an element axis and a node axis, with the fields in between.  A rank
-    holds five of them: rhs, q (which also holds z), x, r and p.  The
-    inverse multiplicity and inverse Jacobi diagonal are one element's
-    tables, which assume one ElementOperator for the whole block; they
-    differ from the assembled tables on the box walls, whose nodes no
-    neighbor shares, so they are exact only for vectors that vanish there.
+    holds five of them: rhs, q (which also holds z), x, r and p, which
+    the CG step works on in one form only: the operator's element blocks
+    of their element-major (elements, points) views.  The inverse
+    multiplicity and inverse Jacobi diagonal are one element's
+    (nz, ny, nx) tables, which assume one ElementOperator for the whole
+    block; they differ from the assembled tables on the box walls, whose
+    nodes no neighbor shares, so they are exact only for vectors that
+    vanish there.
     """
 
     _EL_AXIS = (2, 1, 0)  # array axis of the element index per direction
@@ -105,14 +108,6 @@ class RankWorker:
         # its flat view, through which matvec masks the walls
         self._q = np.empty(self._arr_shape)
         self._q_flat = self._q.reshape(-1)
-        # the operator's element blocks, as row slices of a vector's
-        # element-major (elements, points) view, the last one clipped to
-        # the rank's rows
-        n_rows = math.prod(self._arr_shape[:4])
-        step = self.op.block_elements
-        self._block_rows = tuple(
-            slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)
-        )
 
         # per direction: the halo (minus, plus, lo, hi, left, right), that is
         # the face neighbors, the block's boundary planes and the planes of
@@ -149,30 +144,20 @@ class RankWorker:
         self._walls = np.flatnonzero(walls)
 
         # one element's inverse multiplicity and inverse Jacobi diagonal,
-        # shaped (1, 1, 1, 1, nz, ny, nx) to broadcast over the block.  The
-        # multiplicity is a product of 1s and 2s, so exact; the diagonal
-        # sums each direction's end planes in dssum's sweep order (x, y, z)
-        # and pairs (hi + lo), so at every node off the box walls it has
-        # the assembled diagonal's bits.
-        mult = 1.0
-        diag = self.op.diagonal_grid()
-        for degree, node_ax in zip(config.degrees, self._NODE_AXIS):
-            ends = np.ones(degree + 1)
-            ends[[0, -1]] = 2.0
-            table = [1] * ndim
-            table[node_ax] = ends.size
-            mult = mult * ends.reshape(table)
-            planes = np.moveaxis(diag, node_ax - ndim, 0)
+        # (nz, ny, nx) tables that broadcast over the block: the element's
+        # ones and diagonal with each direction's end planes summed in
+        # dssum's sweep order (x, y, z) and pairing (hi + lo).  The
+        # multiplicity is then exact, and at every node off the box walls
+        # the diagonal has the assembled diagonal's bits.
+        tables = np.stack(
+            (np.ones(self._arr_shape[4:]), self.op.diagonal_grid())
+        )
+        for node_ax in self._NODE_AXIS:
+            planes = np.moveaxis(tables, node_ax - ndim, 0)
             planes[0] = planes[-1] = planes[-1] + planes[0]
-        self.inv_mult = 1.0 / mult
-        self.inv_diag = 1.0 / diag.reshape(self.inv_mult.shape)
+        self.inv_mult, self.inv_diag = 1.0 / tables
         # inv_mult as one element's row of points: the dots' weights
         self._weights = self.inv_mult.reshape(-1)
-        # inv_diag tiled to the first block's rows, at most the rank's
-        # elements, so run_step's z update multiplies operands of one shape
-        self._diag_tile = np.tile(
-            self.inv_diag.reshape(-1), (self._block_rows[0].stop, 1)
-        )
         self.rhs = None
 
     # -- gather-scatter ----------------------------------------------------
@@ -204,30 +189,14 @@ class RankWorker:
 
     # -- counted kernels ---------------------------------------------------
 
-    def _row_blocks(self, arr):
-        # arr's element-major (elements, points) view, cut into the
-        # operator's element blocks
-        rows = arr.reshape(-1, self._weights.size)
-        return [rows[s] for s in self._block_rows]
-
-    def _block_dot(self, u_blocks, v_blocks):
-        # per block, the column sums over its elements of u * v, then one
-        # dot with inv_mult, one element's weights; the block partials add
-        # in block order.  The column sums run in numpy's own loops and the
-        # dot is one element long, so no BLAS call is long enough to reach
-        # a helper thread.  run_step's fused pass takes rz and rr in this
-        # form, block by block, so both give the same bits
-        w = self._weights
-        total = 0.0
-        for ub, vb in zip(u_blocks, v_blocks):
-            total += np.einsum("ek,ek->k", ub, vb).dot(w)
-        return total
-
-    def _dot_partial(self, u, v):
-        # exact only for u or v zero on the box walls, as rhs, r, z, p and
-        # q are
-        self.counter.count(add=u.size, mul=2 * u.size)
-        return self._block_dot(self._row_blocks(u), self._row_blocks(v))
+    def _weighted_dot(self, ub, vb):
+        # one block's weighted dot partial, exact only for u or v zero on
+        # the box walls, as rhs, r, z, p and q are: the column sums over the
+        # block's elements of u * v, then one dot with inv_mult, one
+        # element's weights.  The column sums run in numpy's own loops and
+        # the dot is one element long, so no BLAS call is long enough to
+        # reach a helper thread
+        return np.einsum("ek,ek->k", ub, vb).dot(self._weights)
 
     def _allreduce(self, *partials):
         return allreduce_sum(self.endpoint, partials)
@@ -242,7 +211,9 @@ class RankWorker:
     # -- setup ---------------------------------------------------------------
 
     def setup(self, forcing=None):
-        """Assemble and mask the load; allocate the CG vectors.
+        """Assemble and mask the load; allocate the CG vectors and cut them,
+        with the load and the Jacobi table, into the operator's element
+        blocks, the one form ``run_step`` works in.
 
         One gather-scatter, the load's: the multiplicity and Jacobi
         diagonal are one element's tables, built by ``__init__`` from the
@@ -260,17 +231,26 @@ class RankWorker:
         self.rhs = b
 
         # the CG vectors x, r and p (z shares q's buffer), allocated last so
-        # that they can take the memory that setup's temporaries gave back;
-        # and the block views of x, r, p, q and the Jacobi tile that
-        # run_step works through
+        # that they can take the memory that setup's temporaries gave back
         self._x, self._r, self._p = (
             np.empty(self._arr_shape) for _ in range(3)
         )
-        xs, rs, ps, qs = (
-            self._row_blocks(a) for a in (self._x, self._r, self._p, self._q)
+        # per element block of the operator: the row slices of the
+        # element-major (elements, points) views of rhs, x, r, p and q, the
+        # last block clipped to the rank's rows, and that block's rows of
+        # inv_diag tiled to min(block, the rank's elements) rows, so the z
+        # update multiplies operands of one shape
+        rows = [
+            a.reshape(-1, self._weights.size)
+            for a in (b, self._x, self._r, self._p, self._q)
+        ]
+        n_rows, step = len(rows[0]), self.op.block_elements
+        diag_tile = np.tile(self.inv_diag.reshape(-1), (min(step, n_rows), 1))
+        cuts = range(step, n_rows, step)
+        self._blocks = tuple(
+            (*views, diag_tile[:len(views[0])])
+            for views in zip(*(np.split(v, cuts) for v in rows))
         )
-        ds = [self._diag_tile[:len(b)] for b in xs]
-        self._vector_blocks = xs, rs, ps, qs, ds
 
     # -- the work step -------------------------------------------------------
 
@@ -278,23 +258,25 @@ class RankWorker:
         if max_iters is None:
             max_iters = self.config.cg_iters_per_step
         size = self.rhs.size
-        # the worker's own x, r and p, reset to the same bits as fresh
-        # arrays: run_step returns x, and the next step overwrites it; z
-        # is q's buffer, read last by the p update before the next matvec
-        x, r, z, p = self._x, self._r, self._q, self._p
-        xs, rs, ps, qs, ds = self._vector_blocks
-        blocks = tuple(zip(xs, rs, ps, qs, ds))
-        w = self._weights
-        x.fill(0.0)
-        np.copyto(r, self.rhs)
-        np.multiply(self.inv_diag, r, out=z)
-        self.counter.count(mul=size)
-        rho, rr = self._allreduce(
-            self._dot_partial(r, z), self._dot_partial(r, r)
-        )
+        blocks, dot = self._blocks, self._weighted_dot
+        # the start-up, in the same blocks: x = 0, r = rhs, z = inv_diag * r
+        # (in q's buffer, which the p update reads last before the next
+        # matvec) and p = z, with the block's rz and rr partials.  The
+        # worker's x, r and p so get the bits of fresh arrays; the next
+        # step overwrites the x that run_step returns
+        rz_part = rr_part = 0.0
+        for bb, xb, rb, pb, qb, db in blocks:
+            xb.fill(0.0)
+            np.copyto(rb, bb)
+            np.multiply(db, rb, out=qb)
+            np.copyto(pb, qb)
+            rz_part += dot(rb, qb)
+            rr_part += dot(rb, rb)
+        # z (1 per point), then the rz and rr partials (3 per point each)
+        self.counter.count(add=2 * size, mul=5 * size)
+        rho, rr = self._allreduce(rz_part, rr_part)
         rr0 = rr if rr > 0 else 1.0
         threshold = (rtol * rtol) * rr0 if rtol is not None else None
-        np.copyto(p, z)
         iters = 0
         while iters < max_iters:
             # rho reaches 0, exactly or by underflow, once r vanishes: the
@@ -302,8 +284,11 @@ class RankWorker:
             if rho == 0.0 or (threshold is not None and rr <= threshold):
                 break
             counted = self.counter.additions, self.counter.multiplications
-            self.matvec(p)
-            den, = self._allreduce(self._block_dot(ps, qs))
+            self.matvec(self._p)
+            pq_part = 0.0
+            for _, _, _, pb, qb, _ in blocks:
+                pq_part += dot(pb, qb)
+            den, = self._allreduce(pq_part)
             if den == 0.0:
                 # p.q underflowed while rho did not: stop, and take this
                 # unfinished iteration's operator off the tally, so the
@@ -311,24 +296,23 @@ class RankWorker:
                 self.counter.additions, self.counter.multiplications = counted
                 break
             alpha = rho / den
-            # one pass over the operator's element blocks, each hot in L2,
-            # in place with q (dead after the r update) as scratch and then
-            # as z: the same bits as r -= alpha * q, x += alpha * p and
-            # z = inv_diag * r; then the block's rz and rr partials, in
-            # _block_dot's form and block order
+            # one pass over the blocks, each hot in L2, in place with q
+            # (dead after the r update) as scratch and then as z: the same
+            # bits as r -= alpha * q, x += alpha * p and z = inv_diag * r;
+            # then the block's rz and rr partials
             rz_part = rr_part = 0.0
-            for xb, rb, pb, qb, db in blocks:
+            for _, xb, rb, pb, qb, db in blocks:
                 qb *= alpha
                 rb -= qb
                 np.multiply(pb, alpha, out=qb)
                 xb += qb
                 np.multiply(db, rb, out=qb)
-                rz_part += np.einsum("ek,ek->k", rb, qb).dot(w)
-                rr_part += np.einsum("ek,ek->k", rb, rb).dot(w)
+                rz_part += dot(rb, qb)
+                rr_part += dot(rb, rb)
             rho_new, rr = self._allreduce(rz_part, rr_part)
             beta = rho_new / rho
             # the p update in the same blocks: the same bits as z + beta * p
-            for _, _, pb, zb, _ in blocks:
+            for _, _, _, pb, zb, _ in blocks:
                 pb *= beta
                 pb += zb
             # the iteration's vector flops in one call: the p.q, rz and rr
@@ -337,7 +321,7 @@ class RankWorker:
             self.counter.count(add=6 * size, mul=10 * size, div=2)
             rho = rho_new
             iters += 1
-        return x, iters, math.sqrt(rr / rr0)
+        return self._x, iters, math.sqrt(rr / rr0)
 
 
 def _plane_index(ndim, el_ax, el_sel, node_ax, node_sel):

@@ -143,13 +143,32 @@ def ref_histogram_tally(samples, edges):
     return counts
 
 
+def ref_dot(worker, u, v):
+    """Counted weighted dot partial of two vectors of a RankWorker's block.
+
+    Per block of ``op.block_elements`` elements of the element-major
+    (elements, points) views, the column sums of u * v dotted with one
+    element's inverse multiplicity; the block partials add in block order.
+    Exact only for u or v zero on the box walls.
+    """
+    worker.counter.count(add=u.size, mul=2 * u.size)
+    weights = worker.inv_mult.reshape(-1)
+    u_rows, v_rows = (a.reshape(-1, weights.size) for a in (u, v))
+    step = worker.op.block_elements
+    total = 0.0
+    for lo in range(0, len(u_rows), step):
+        ub, vb = u_rows[lo:lo + step], v_rows[lo:lo + step]
+        total += np.einsum("ek,ek->k", ub, vb).dot(weights)
+    return total
+
+
 def ref_cg_step(worker, rtol=None, max_iters=None):
     """Out-of-place Jacobi-CG step of a Dirichlet RankWorker.
 
     Each update allocates a fresh array, the way the in-place product loop
     must reproduce bit for bit, counted flops included.  Built on the
-    worker's matvec, dot partials and reduction, so it can stand in for
-    ``RankWorker.run_step``.
+    worker's matvec and reduction and on ``ref_dot``, so it can stand in
+    for ``RankWorker.run_step``.
     """
     if max_iters is None:
         max_iters = worker.config.cg_iters_per_step
@@ -159,9 +178,7 @@ def ref_cg_step(worker, rtol=None, max_iters=None):
     r = worker.rhs.copy()
     z = worker.inv_diag * r
     counter.count(mul=size)
-    rho, rr = worker._allreduce(
-        worker._dot_partial(r, z), worker._dot_partial(r, r)
-    )
+    rho, rr = worker._allreduce(ref_dot(worker, r, z), ref_dot(worker, r, r))
     rr0 = rr if rr > 0 else 1.0
     threshold = (rtol * rtol) * rr0 if rtol is not None else None
     p = z.copy()
@@ -171,7 +188,7 @@ def ref_cg_step(worker, rtol=None, max_iters=None):
             break
         counted = counter.additions, counter.multiplications
         q = worker.matvec(p)
-        den, = worker._allreduce(worker._dot_partial(p, q))
+        den, = worker._allreduce(ref_dot(worker, p, q))
         if den == 0.0:
             # the unfinished iteration counts nothing
             counter.additions, counter.multiplications = counted
@@ -183,7 +200,7 @@ def ref_cg_step(worker, rtol=None, max_iters=None):
         z = worker.inv_diag * r
         counter.count(add=2 * size, mul=3 * size)
         rho_new, rr = worker._allreduce(
-            worker._dot_partial(r, z), worker._dot_partial(r, r)
+            ref_dot(worker, r, z), ref_dot(worker, r, r)
         )
         beta = rho_new / rho
         counter.count(div=1)

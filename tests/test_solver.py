@@ -26,7 +26,7 @@ from semperf.solver import (
 )
 from semperf.transport import loopback_transport
 
-from reference import ref_cg_step, reference_apply_grid
+from reference import ref_cg_step, ref_dot, reference_apply_grid
 
 
 def small_case(**overrides):
@@ -314,7 +314,7 @@ class TestDotPartial:
         )
         exact_mult = worker.dssum(np.ones(worker._arr_shape))
         expected = float(np.sum(u * v / exact_mult))
-        assert worker._dot_partial(u, v) == pytest.approx(expected, rel=1e-12)
+        assert ref_dot(worker, u, v) == pytest.approx(expected, rel=1e-12)
 
 
 class TestNodeTables:
@@ -713,6 +713,45 @@ class TestInPlaceLoop:
         for key, grid in product.fields.items():
             assert grid.tobytes() == reference.fields[key].tobytes()
 
+    # the start-up alone (max_iters=0), in three blocks at P=1 and in
+    # ranks of two blocks or one: it counts the start-up's closed form,
+    # split as 2 additions and 5 multiplications per point, returns x = 0,
+    # and the full step after it keeps the reference's bits
+    @pytest.mark.parametrize("n_ranks", [1, 2, 3])
+    def test_start_up_alone_then_a_full_step(self, n_ranks):
+        config = CaseConfig(
+            elements=(6, 4, 4), degrees=(8, 8, 8), cg_iters_per_step=6
+        )
+        plan = partition_elements(config, n_ranks)
+
+        def run(step):
+            def on_rank(worker):
+                worker.setup(self.rough_forcing)
+                c = worker.counter
+                results = []
+                for max_iters in (0, None):
+                    x, iters, rel = step(worker, max_iters=max_iters)
+                    results.append((x.tobytes(), iters, rel, c.additions,
+                                    c.multiplications, c.divisions))
+                return results
+
+            workers = [
+                RankWorker(config, plan, endpoint)
+                for endpoint in loopback_transport(n_ranks)
+            ]
+            with ThreadPoolExecutor(max_workers=n_ranks) as pool:
+                return workers, list(pool.map(on_rank, workers))
+
+        workers, product = run(RankWorker.run_step)
+        assert product == run(ref_cg_step)[1]
+        total = 0
+        for worker, ((x, iters, rel, *split), _) in zip(workers, product):
+            size = worker.rhs.size
+            assert (x, iters, rel) == (bytes(8 * size), 0, 1.0)
+            assert split == [2 * size, 5 * size, 0]
+            total += sum(split)
+        assert total == step_flops(config, n_ranks, 0)
+
     # the two early stops: rho reaches 0 (at P=2 after 354 of 2000
     # iterations), and p.q underflows while rho does not (a load scaled by
     # 4e-161 stops inside the first iteration)
@@ -808,11 +847,15 @@ class TestStepMemory:
         worker = RankWorker(config, partition_elements(config, 1), endpoint)
         worker.setup()
         worker.run_step()
-        tables = (worker._diag_tile, *worker.op._weight_tiles)
+        blocks = worker._blocks
+        diag_tiles = [tile for *_, tile in blocks]
+        assert all(np.shares_memory(t, diag_tiles[0]) for t in diag_tiles)
+        tables = (diag_tiles[0], *worker.op._weight_tiles)
         assert [len(t) for t in tables] == [rows] * 4
         n_el = math.prod(elements)
-        assert worker._block_rows[-1].stop == n_el
-        assert sum(s.stop - s.start for s in worker._block_rows) == n_el
+        last_row = worker.rhs.reshape(n_el, -1)[-1]
+        assert np.shares_memory(blocks[-1][0][-1], last_row)
+        assert sum(len(rhs) for rhs, *_ in blocks) == n_el
 
 
 class TestConvergence:
