@@ -850,7 +850,13 @@ class TestStepMemory:
         blocks = worker._blocks
         diag_tiles = [tile for *_, tile in blocks]
         assert all(np.shares_memory(t, diag_tiles[0]) for t in diag_tiles)
-        tables = (diag_tiles[0], *worker.op._weight_tiles)
+        # the blocks hold row slices of one Jacobi tile: size the array
+        # that owns its memory, not the slice
+        diag_tile = diag_tiles[0]
+        while diag_tile.base is not None:
+            diag_tile = diag_tile.base
+        assert diag_tile.nbytes == rows * diag_tiles[0][0].nbytes
+        tables = (diag_tile, *worker.op._weight_tiles)
         assert [len(t) for t in tables] == [rows] * 4
         n_el = math.prod(elements)
         last_row = worker.rhs.reshape(n_el, -1)[-1]
