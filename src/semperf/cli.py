@@ -30,6 +30,7 @@ from .gamma import (
 )
 from .harness import (
     CampaignSpec,
+    _json_num,
     model_point,
     records_to_json,
     records_to_steps_csv,
@@ -247,7 +248,7 @@ def cmd_predict(args):
         "t_c_s": step.t_c,
         "t_l_s": step.t_l,
         "t_total_s": step.walltime,
-        "gamma": "inf" if math.isinf(rec.gamma) else rec.gamma,
+        "gamma": _json_num(rec.gamma),
         "efficiency": rec.efficiency,
         "speedup": rec.speedup,
     }

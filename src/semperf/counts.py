@@ -12,6 +12,7 @@ simulated campaigns and the command line can use it without loading the
 executed kernel.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -28,6 +29,32 @@ VECTOR_FLOPS_PER_STEP = 7
 DIVS_PER_ITER_PER_RANK = 2
 
 
+def require(name, x, low=-math.inf, *, above=False, integer=False):
+    """Raise a ValueError naming the field unless x is a finite number
+    (an integer when integer is set) >= low, or > low when above is set.
+
+    Every lower-bounded number a config, profile, table or command line
+    supplies passes here.  A bool is refused although Python counts it as
+    an int (a JSON true would otherwise be a count of 1), and so is an int
+    too large for a float.
+    """
+    kind = "an integer" if integer else "a number"
+    if isinstance(x, bool) or not isinstance(
+        x, numbers.Integral if integer else numbers.Real
+    ):
+        raise ValueError(f"{name} must be {kind} (got {x!r})")
+    try:
+        finite = math.isfinite(x)
+    except OverflowError:
+        finite = False
+    if not finite:
+        got = x if isinstance(x, float) else "a value too large for a float"
+        raise ValueError(f"{name} must be finite (got {got})")
+    if x < low or (above and x == low):
+        op = ">" if above else ">="
+        raise ValueError(f"{name} must be {kind} {op} {low:g} (got {x!r})")
+
+
 @dataclass(frozen=True)
 class CaseConfig:
     """Benchmark case: element grid, polynomial degrees, work budget."""
@@ -39,29 +66,14 @@ class CaseConfig:
     cg_iters_per_step: int = 100
 
     def __post_init__(self):
-        counts = (
-            *self.elements,
-            *self.degrees,
-            self.n_fields,
-            self.steps,
-            self.cg_iters_per_step,
-        )
-        if not all(
-            isinstance(c, numbers.Integral) and not isinstance(c, bool)
-            for c in counts
-        ):
-            raise ValueError(
-                "elements, degrees, n_fields, steps and cg_iters_per_step "
-                f"must be integers: {self}"
-            )
-        if len(self.elements) != 3 or any(e < 1 for e in self.elements):
-            raise ValueError(f"element counts must be 3 values >= 1: {self.elements}")
-        if len(self.degrees) != 3 or any(n < 2 for n in self.degrees):
-            raise ValueError(f"degrees must be 3 values >= 2: {self.degrees}")
-        if self.n_fields < 1:
-            raise ValueError("n_fields must be >= 1")
-        if self.steps < 1 or self.cg_iters_per_step < 1:
-            raise ValueError("steps and cg_iters_per_step must be >= 1")
+        if len(self.elements) != 3 or len(self.degrees) != 3:
+            raise ValueError(f"elements and degrees need 3 values: {self}")
+        for e in self.elements:
+            require("elements", e, 1, integer=True)
+        for n in self.degrees:
+            require("degrees", n, 2, integer=True)
+        for name in ("n_fields", "steps", "cg_iters_per_step"):
+            require(name, getattr(self, name), 1, integer=True)
 
     @property
     def n_elements(self):

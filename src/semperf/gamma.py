@@ -9,19 +9,10 @@ represented by ``math.inf``.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
-from .counts import MEGA, WORD_BYTES
+from .counts import MEGA, WORD_BYTES, require
 from .errors import CalibrationDegenerateError
-
-
-def _require_finite(**values):
-    for name, x in values.items():
-        if isinstance(x, bool) or not isinstance(x, numbers.Real):
-            raise ValueError(f"{name} must be a number (got {x!r})")
-        if not math.isfinite(x):
-            raise ValueError(f"{name} must be finite (got {x})")
 
 
 @dataclass(frozen=True)
@@ -43,19 +34,11 @@ class MachineProfile:
     rate_curvature: float = 0.0
 
     def __post_init__(self):
-        _require_finite(
-            effective_core_rate=self.effective_core_rate,
-            link_bandwidth=self.link_bandwidth,
-            latency=self.latency,
-            link_sharing=self.link_sharing,
-            rate_curvature=self.rate_curvature,
-        )
-        if self.effective_core_rate <= 0 or self.link_bandwidth <= 0:
-            raise ValueError("rates and bandwidths must be positive")
-        if self.latency < 0:
-            raise ValueError("latency must be >= 0")
-        if self.link_sharing < 1:
-            raise ValueError("link_sharing must be >= 1")
+        require("effective_core_rate", self.effective_core_rate, 0, above=True)
+        require("link_bandwidth", self.link_bandwidth, 0, above=True)
+        require("latency", self.latency, 0)
+        require("link_sharing", self.link_sharing, 1)
+        require("rate_curvature", self.rate_curvature)
 
     @property
     def per_rank_bandwidth(self):
@@ -148,11 +131,9 @@ class CalibrationInput:
                 f"unknown bandwidth model {self.bandwidth_model!r}; "
                 f"expected one of {BANDWIDTH_MODELS}"
             )
-        _require_finite(t_p=self.t_p, gamma=self.gamma, sharing=self.sharing)
-        if self.t_p <= 0 or self.gamma <= 0:
-            raise ValueError("t_p and gamma must be positive")
-        if self.sharing < 1:
-            raise ValueError("sharing must be >= 1")
+        require("t_p", self.t_p, 0, above=True)
+        require("gamma", self.gamma, 0, above=True)
+        require("sharing", self.sharing, 1)
 
     def _coefficients(self, base_bandwidth):
         """(W, V) coefficients of W / b_eff, with V = W / alpha.
@@ -221,8 +202,7 @@ def calibrate(inputs, base_bandwidth):
     """
     import numpy as np
 
-    if not (math.isfinite(base_bandwidth) and base_bandwidth > 0):
-        raise ValueError("base_bandwidth must be finite and positive")
+    require("base_bandwidth", base_bandwidth, 0, above=True)
     inputs = list(inputs)
     names = [r.name for r in inputs]
     if len(inputs) < 3:
@@ -292,6 +272,9 @@ def normalize_node_usage(raw_node_usage, active_ranks, cores_per_node):
     return min(raw_node_usage * cores_per_node / active_ranks, 1.0)
 
 
+MAX_BINS = 100_000  # the default width of 0.01 gives 101
+
+
 @dataclass(frozen=True)
 class UsageAnalysis:
     """Histogram of per-window efficiency samples plus mean and Gamma."""
@@ -310,15 +293,20 @@ def analyze_usage_histogram(samples, bin_width=0.01):
     """
     import numpy as np
 
+    if not 0.0 < bin_width <= 1.0:
+        raise ValueError("bin_width must lie in (0, 1]")
+    n_bins = math.floor(1.0 / bin_width) + 1
+    if n_bins > MAX_BINS:
+        raise ValueError(
+            f"bin_width {bin_width:g} gives {n_bins} bins, more than "
+            f"{MAX_BINS}"
+        )
     samples = np.asarray(list(samples), dtype=float)
     if samples.size == 0:
         raise ValueError("no usage samples to analyze")
-    if not 0.0 < bin_width <= 1.0:
-        raise ValueError("bin_width must lie in (0, 1]")
     # written so that a NaN fails the range check too
     if not np.all((samples >= 0.0) & (samples <= 1.0)):
         raise ValueError("usage samples must lie in [0, 1]")
-    n_bins = math.floor(1.0 / bin_width) + 1
     edges = np.arange(n_bins + 1) * bin_width
     idx = np.searchsorted(edges, samples, side="right") - 1
     idx = np.clip(idx, 0, n_bins - 1)

@@ -10,10 +10,9 @@ import csv
 import io
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, replace
 
-from .counts import MEGA, CaseConfig, StepRecord, step_flops
+from .counts import MEGA, CaseConfig, StepRecord, require, step_flops
 from .gamma import gamma_from_times, predict_time
 from .partition import partition_elements, words_per_step
 
@@ -21,15 +20,6 @@ CAMPAIGN_KINDS = ("strong", "weak", "degree_sweep", "time_budget")
 DEFAULT_WINDOW_S = 20.0
 DEFAULT_JITTER = 0.02
 MAX_WINDOWS = 100_000  # the paper's 10 h run is 1,800 windows
-
-
-def _is_int_at_least(x, low):
-    # a JSON true is an int to Python, so bools are refused explicitly
-    return (
-        isinstance(x, numbers.Integral)
-        and not isinstance(x, bool)
-        and x >= low
-    )
 
 
 @dataclass(frozen=True)
@@ -53,15 +43,11 @@ class CampaignSpec:
             raise ValueError(f"unknown campaign kind {self.kind!r}")
         if self.mode not in ("sim", "exec"):
             raise ValueError(f"mode must be sim or exec (got {self.mode!r})")
-        for p in (*self.p_list, *(p for _, p in self.weak_scales)):
-            if not _is_int_at_least(p, 1):
-                raise ValueError(
-                    f"rank counts must be integers >= 1 (got {p!r})"
-                )
-        if not _is_int_at_least(self.seed, 0):
-            raise ValueError(
-                f"seed must be an integer >= 0 (got {self.seed!r})"
-            )
+        for p in self.p_list:
+            require("p_list", p, 1, integer=True)
+        for _, p in self.weak_scales:
+            require("weak_scales", p, 1, integer=True)
+        require("seed", self.seed, 0, integer=True)
         if self.kind == "strong" and not self.p_list:
             raise ValueError("strong scaling needs a p_list")
         if self.kind == "weak":
@@ -80,22 +66,14 @@ class CampaignSpec:
                 raise ValueError("degree sweep runs at a single P")
             self.points()
         if self.kind == "time_budget":
-            # written so that a NaN fails every comparison and is rejected;
-            # a JSON true is a number to Python, so bools are refused first
-            for name in ("budget_s", "window_s"):
-                value = getattr(self, name)
-                if isinstance(value, bool) or not 0 < value < math.inf:
-                    raise ValueError(
-                        f"{name} must be a finite positive number"
-                    )
+            require("budget_s", self.budget_s, 0, above=True)
+            require("window_s", self.window_s, 0, above=True)
+            require("jitter", self.jitter, 0)
             if self.budget_s // self.window_s > MAX_WINDOWS:
                 raise ValueError(
                     f"budget_s {self.budget_s:g} holds more than "
                     f"{MAX_WINDOWS} windows of {self.window_s:g} s"
                 )
-            jitter = self.jitter
-            if isinstance(jitter, bool) or not 0 <= jitter < math.inf:
-                raise ValueError("jitter must be a finite number >= 0")
             if len(self.p_list) != 1:
                 raise ValueError("time budget runs at a single P")
             if self.mode != "sim":

@@ -10,6 +10,7 @@ face exchanges of their adjacent faces.
 
 from dataclasses import dataclass
 
+from .counts import require
 from .errors import OverDecompositionError
 
 
@@ -118,8 +119,7 @@ def partition_elements(config, n_ranks):
     """Partition the element grid of config onto n_ranks."""
     ex, ey, ez = config.elements
     total = ex * ey * ez
-    if n_ranks < 1:
-        raise ValueError("rank count must be >= 1")
+    require("n_ranks", n_ranks, 1, integer=True)
     if n_ranks > total:
         raise OverDecompositionError(
             f"{n_ranks} ranks for {total} elements: need at least one "

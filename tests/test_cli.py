@@ -409,6 +409,24 @@ class TestBench:
         assert "seed must be an integer >= 0" in captured.err
         assert not (tmp_path / "out").exists()
 
+    def test_huge_jitter_is_refused_when_the_config_loads(
+        self, tmp_path, capsys
+    ):
+        # the campaign run is never reached: its numbers fail at load
+        cfg = example_config_dict()
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["campaigns"]["usage10h"]["jitter"] = HUGE
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["bench", "strong8", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: config {path}, campaign 'usage10h': jitter must be "
+            "finite (got a value too large for a float)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @OVERFLOWING_MACHINES
     def test_overflowing_machine_exits_2_without_output(
         self, tmp_path, capsys, machine
@@ -792,6 +810,27 @@ class TestAnalyze:
         samples = tmp_path / "usage.csv"
         self.write_samples(samples, [0.5])
         assert main(["analyze", str(samples), "--cores-per-node", "4"]) == 2
+
+    def test_bin_width_over_the_bin_cap_exits_2_without_output(
+        self, tmp_path, capsys
+    ):
+        # 1e-6 asks for 1,000,001 bins; the cap refuses it before any array
+        samples = tmp_path / "usage.csv"
+        self.write_samples(samples, [0.5, 0.7])
+        assert main(["analyze", str(samples), "--bin-width", "1e-6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: bin_width 1e-06 gives 1000001 bins, more than 100000\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["usage.csv"]
+
+    def test_bin_width_at_the_bin_cap_is_accepted(self, tmp_path, capsys):
+        samples = tmp_path / "usage.csv"
+        self.write_samples(samples, [0.5, 0.7])
+        assert main(["analyze", str(samples), "--bin-width", "1e-5"]) == 0
+        hist = (tmp_path / "usage.hist").read_text().splitlines()
+        assert len(hist) == 100_000
 
 
 def test_init_config_writes_valid_example(tmp_path, capsys):

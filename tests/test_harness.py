@@ -231,6 +231,40 @@ class TestTimeBudget:
             )
 
 
+class TestCampaignSpecNumbers:
+    """Each numeric field is refused, by name, when the spec is built."""
+
+    def spec(self, machines, **fields):
+        params = {"p_list": (8,), "budget_s": 3600.0, **fields}
+        return CampaignSpec(
+            kind="time_budget",
+            case=REFERENCE_STRONG_CASE,
+            machine=machines["pleiades2-sim"],
+            **params,
+        )
+
+    @pytest.mark.parametrize(
+        "name,below", [("budget_s", 0.0), ("window_s", 0.0),
+                       ("jitter", -0.01), ("seed", -1), ("p_list", 0)],
+    )
+    @pytest.mark.parametrize(
+        "bad", ["below", "string", "bool", "nan", "inf", "huge"]
+    )
+    def test_bad_value_names_the_field(self, machines, name, below, bad):
+        value = {
+            "below": below, "string": "1", "bool": True,
+            "nan": math.nan, "inf": math.inf, "huge": 10**400,
+        }[bad]
+        if name == "p_list":
+            value = (value,)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            self.spec(machines, **{name: value})
+
+    def test_good_values_build(self, machines):
+        spec = self.spec(machines, window_s=30, jitter=0, seed=0)
+        assert (spec.budget_s, spec.window_s, spec.jitter) == (3600.0, 30, 0)
+
+
 class TestExecutedMode:
     def exec_case(self):
         return CaseConfig(

@@ -62,7 +62,7 @@ class TestCaseConfig:
     def test_non_integer_counts_rejected(self, name, value):
         if name in ("elements", "degrees"):
             value = (4, value, 4)
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="must be an integer"):
             CaseConfig(**{name: value})
 
 
