@@ -64,8 +64,9 @@ class ToolConfig:
     def from_path(cls, path):
         """Read the config and build every machine, case and campaign in it.
 
-        A malformed entry anywhere raises ValueError naming that entry, so a
-        config either loads whole or not at all.
+        A malformed entry anywhere, or a key that no reader takes, raises
+        ValueError naming that entry, so a config either loads whole or not
+        at all.
         """
         where = "JSON"
         try:
@@ -83,20 +84,27 @@ class ToolConfig:
                     "need a JSON object with a version key and objects for "
                     "machines, cases and campaigns"
                 )
+            raw.pop("version")
             machines = dict(builtin_profiles())
-            for name, params in raw.get("machines", {}).items():
+            for name, params in raw.pop("machines", {}).items():
                 where = f"machine {name!r}"
                 machines[name] = MachineProfile(name=name, **params)
             cases = {}
-            for name, params in raw.get("cases", {}).items():
+            for name, params in raw.pop("cases", {}).items():
                 where = f"case {name!r}"
-                cases[name] = _case_from_dict(params)
+                cases[name] = CaseConfig(
+                    **{
+                        **params,
+                        "elements": tuple(params["elements"]),
+                        "degrees": tuple(params["degrees"]),
+                    }
+                )
             campaigns = {}
-            for name, cdef in raw.get("campaigns", {}).items():
+            for name, cdef in raw.pop("campaigns", {}).items():
                 where = f"campaign {name!r}"
                 campaigns[name] = _campaign_from_dict(cdef, cases, machines)
             where = "formats"
-            formats = raw.get("formats", ["json", "csv"])
+            formats = raw.pop("formats", ["json", "csv"])
             if not (
                 isinstance(formats, list)
                 and all(f in ("json", "csv") for f in formats)
@@ -105,7 +113,9 @@ class ToolConfig:
                     f"must be a list of json and csv (got {formats!r})"
                 )
             where = "output_dir"
-            output_dir = Path(raw.get("output_dir", "semperf-out"))
+            output_dir = Path(raw.pop("output_dir", "semperf-out"))
+            where = "top level"
+            _refuse_unread(raw)
         except (TypeError, ValueError, KeyError, OverflowError) as exc:
             detail = (
                 f"missing or unknown key {exc}"
@@ -128,31 +138,31 @@ class ToolConfig:
         return out
 
 
-def _given(params, *keys):
-    """The keys params holds; the dataclass defaults fill in the rest."""
-    return {key: params[key] for key in keys if key in params}
-
-
-def _case_from_dict(params):
-    return CaseConfig(
-        elements=tuple(params["elements"]),
-        degrees=tuple(params["degrees"]),
-        **_given(params, "n_fields", "steps", "cg_iters_per_step"),
-    )
+def _refuse_unread(params):
+    """Refuse the keys left in params once its reader has popped its own."""
+    if params:
+        raise ValueError(f"unknown key {', '.join(map(repr, params))}")
 
 
 def _campaign_from_dict(cdef, cases, machines):
-    return CampaignSpec(
-        kind=cdef["kind"],
-        case=cases[cdef["case"]],
-        machine=machines[cdef["machine"]],
-        p_list=tuple(cdef.get("p_list", ())),
+    cdef = {**cdef}
+    fields = dict(
+        kind=cdef.pop("kind"),
+        case=cases[cdef.pop("case")],
+        machine=machines[cdef.pop("machine")],
+        p_list=tuple(cdef.pop("p_list", ())),
         weak_scales=tuple(
-            (tuple(pt["elements"]), pt["p"]) for pt in cdef.get("scales", ())
+            (tuple(pt["elements"]), pt["p"]) for pt in cdef.pop("scales", ())
         ),
-        degrees=tuple(cdef.get("degrees", ())),
-        **_given(cdef, "budget_s", "window_s", "jitter"),
+        degrees=tuple(cdef.pop("degrees", ())),
+        **{
+            key: cdef.pop(key)
+            for key in ("budget_s", "window_s", "jitter")
+            if key in cdef
+        },
     )
+    _refuse_unread(cdef)
+    return CampaignSpec(**fields)
 
 
 def _print_table(rows, columns):
@@ -282,23 +292,14 @@ def _read_calibration_table(path):
         isinstance(table, list) and all(isinstance(row, dict) for row in table)
     ):
         raise ValueError(f"table {path} must be a JSON list of objects")
-    rows = []
     for entry in table:
         if not {"name", "t_p", "gamma", "bandwidth_model"} <= entry.keys():
             raise ValueError(
                 f"table {path} needs columns name,t_p,gamma,bandwidth_model"
                 "[,sharing] in every row"
             )
-        rows.append(
-            CalibrationInput(
-                name=entry["name"],
-                t_p=entry["t_p"],
-                gamma=entry["gamma"],
-                bandwidth_model=entry["bandwidth_model"],
-                sharing=entry.get("sharing", 1.0),
-            )
-        )
-    return rows
+    # a key CalibrationInput does not take raises a TypeError naming it
+    return [CalibrationInput(**entry) for entry in table]
 
 
 def cmd_calibrate(args):

@@ -48,38 +48,31 @@ class CampaignSpec:
         for _, p in self.weak_scales:
             require("weak_scales", p, 1, integer=True)
         require("seed", self.seed, 0, integer=True)
-        if self.kind == "strong" and not self.p_list:
-            raise ValueError("strong scaling needs a p_list")
-        if self.kind == "weak":
-            if not self.weak_scales:
-                raise ValueError("weak scaling needs scale points")
-            per_rank = {case.n_elements / p for case, p in self.points()}
-            if len(per_rank) != 1:
-                raise ValueError(
-                    "weak-scaling points must hold elements per rank "
-                    f"constant (got loads {sorted(per_rank)})"
-                )
-        if self.kind == "degree_sweep":
-            if not self.degrees or not self.p_list:
-                raise ValueError("degree sweep needs degrees and a p_list")
-            if len(self.p_list) != 1:
-                raise ValueError("degree sweep runs at a single P")
-            self.points()
-        if self.kind == "time_budget":
-            require("budget_s", self.budget_s, 0, above=True)
-            require("window_s", self.window_s, 0, above=True)
-            require("jitter", self.jitter, 0)
-            if self.budget_s // self.window_s > MAX_WINDOWS:
-                raise ValueError(
-                    f"budget_s {self.budget_s:g} holds more than "
-                    f"{MAX_WINDOWS} windows of {self.window_s:g} s"
-                )
-            if len(self.p_list) != 1:
-                raise ValueError("time budget runs at a single P")
-            if self.mode != "sim":
-                raise ValueError(
-                    "time_budget campaigns run in simulated mode only"
-                )
+        require("budget_s", self.budget_s, 0, above=self.kind == "time_budget")
+        require("window_s", self.window_s, 0, above=True)
+        require("jitter", self.jitter, 0)
+        if self.budget_s // self.window_s > MAX_WINDOWS:
+            raise ValueError(
+                f"budget_s {self.budget_s:g} holds more than "
+                f"{MAX_WINDOWS} windows of {self.window_s:g} s"
+            )
+        if self.kind != "weak" and not self.p_list:
+            raise ValueError(f"{self.kind} campaign needs a p_list")
+        if len(self.p_list) > 1 and self.kind not in ("strong", "weak"):
+            raise ValueError(f"{self.kind} campaign runs at a single P")
+        loads = {case.n_elements / p for case, p in self.points()}
+        if not loads:
+            raise ValueError(
+                f"{self.kind} campaign needs "
+                + ("scale points" if self.kind == "weak" else "degrees")
+            )
+        if self.kind == "weak" and len(loads) != 1:
+            raise ValueError(
+                "weak-scaling points must hold elements per rank "
+                f"constant (got loads {sorted(loads)})"
+            )
+        if self.kind == "time_budget" and self.mode != "sim":
+            raise ValueError("time_budget runs in simulated mode only")
 
     def points(self):
         """(case, n_ranks) of every scaling point, in campaign order.

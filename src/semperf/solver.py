@@ -276,12 +276,12 @@ class RankWorker:
         self.counter.count(add=2 * size, mul=5 * size)
         rho, rr = self._allreduce(rz_part, rr_part)
         rr0 = rr if rr > 0 else 1.0
-        threshold = (rtol * rtol) * rr0 if rtol is not None else None
+        threshold = (rtol * rtol) * rr0 if rtol is not None else -math.inf
         iters = 0
         while iters < max_iters:
             # rho reaches 0, exactly or by underflow, once r vanishes: the
             # solve has converged, and one more iteration would divide 0 by 0
-            if rho == 0.0 or (threshold is not None and rr <= threshold):
+            if rho == 0.0 or rr <= threshold:
                 break
             counted = self.counter.additions, self.counter.multiplications
             self.matvec(self._p)

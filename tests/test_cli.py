@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semperf.cli import main
+from semperf.cli import ToolConfig, main
 from semperf.profiles import example_config_dict
 
 CALIBRATION_CSV = """name,t_p,gamma,bandwidth_model,sharing
@@ -42,6 +42,12 @@ HUGE = 10**400
 def huge_iterations_cases():
     cases = example_config_dict()["cases"]
     cases["bench8"]["cg_iters_per_step"] = HUGE
+    return cases
+
+
+def bench8_cases(**extra):
+    cases = example_config_dict()["cases"]
+    cases["bench8"].update(extra)
     return cases
 
 
@@ -319,6 +325,12 @@ class TestBench:
             ({**degree_campaign(6, 8), "p_list": [2, 4]}, {}),
             (budget_campaign(p_list=[4, 8]), {}),
             (budget_campaign(budget_s=2e9), {}),
+            ({**strong_campaign(1, 2), "jitter": "abc"}, {}),
+            ({**strong_campaign(1, 2), "budget_s": -5}, {}),
+            ({**strong_campaign(1, 2), "window_s": 0}, {}),
+            (strong_campaign(1, 2), {"cases": bench8_cases(step=3)}),
+            ({**strong_campaign(1, 2), "jiter": 0.1}, {}),
+            (strong_campaign(1, 2), {"output-dir": "elsewhere"}),
         ],
         ids=[
             "window_s-zero", "window_s-nan", "budget_s-nan", "budget_s-inf",
@@ -331,7 +343,10 @@ class TestBench:
             "case-not-a-name", "machines-list", "cases-list",
             "budget_s-huge", "iterations-huge", "strong-no-p_list",
             "weak-no-scales", "degrees-two-p", "budget-two-p",
-            "budget_s-over-window-cap",
+            "budget_s-over-window-cap", "strong-jitter-string",
+            "strong-budget_s-negative", "strong-window_s-zero",
+            "case-key-unknown", "campaign-key-unknown",
+            "top-level-key-unknown",
         ],
     )
     def test_malformed_campaign_exits_2_without_output(
@@ -380,6 +395,54 @@ class TestBench:
         assert main(["bench", "strong8", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: config")
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize(
+        "campaign,top,entry,key",
+        [
+            (
+                strong_campaign(1), {"cases": bench8_cases(step=3)},
+                "case 'bench8'", "'step'",
+            ),
+            (
+                {**strong_campaign(1), "jiter": 0.1}, {},
+                "campaign 'bad'", "unknown key 'jiter'",
+            ),
+            (
+                strong_campaign(1), {"output-dir": "elsewhere"},
+                "top level", "unknown key 'output-dir'",
+            ),
+        ],
+        ids=["case", "campaign", "top-level"],
+    )
+    def test_unknown_key_is_named(
+        self, tmp_path, capsys, campaign, top, entry, key
+    ):
+        cfg = {**example_config_dict(), **top}
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["campaigns"]["bad"] = campaign
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["bench", "bad", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: config {path}, {entry}: ")
+        assert key in captured.err and captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_config_example_loads(self, tmp_path):
+        # the JSON block under README's "Configuration file" heading
+        readme = Path(__file__).parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split(
+            "## Configuration file", 1
+        )[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "cfg.json"
+        path.write_text(example, encoding="utf-8")
+        config = ToolConfig.from_path(path)
+        assert "mycluster" in config.machines
+        assert sorted(config.campaigns) == sorted(
+            json.loads(example)["campaigns"]
+        )
 
     def test_machine_naming_cores_per_node_exits_2_without_output(
         self, tmp_path, monkeypatch, capsys
@@ -699,11 +762,12 @@ class TestCalibrate:
             calibration_rows(gamma=True),
             calibration_rows(sharing=True),
             calibration_rows(t_p=HUGE),
+            calibration_rows(shairng=4),
         ],
         ids=[
             "rows-not-objects", "top-level-object", "null-value",
             "name-not-a-string", "t_p-bool", "gamma-bool", "sharing-bool",
-            "t_p-huge",
+            "t_p-huge", "row-key-unknown",
         ],
     )
     def test_malformed_json_table_exits_2_without_writing_a_fit(
@@ -726,6 +790,25 @@ class TestCalibrate:
         assert main(["calibrate", str(table), "--out", str(artifact)]) == 2
         assert not artifact.exists()
         assert "needs columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("gamma.csv", CALIBRATION_CSV.replace("sharing", "shairng")),
+            ("gamma.json", json.dumps(calibration_rows(shairng=4))),
+        ],
+        ids=["csv-column", "json-key"],
+    )
+    def test_unknown_column_exits_2_naming_it(
+        self, tmp_path, capsys, name, text
+    ):
+        table = tmp_path / name
+        table.write_text(text, encoding="utf-8")
+        artifact = tmp_path / "fit.json"
+        assert main(["calibrate", str(table), "--out", str(artifact)]) == 2
+        assert not artifact.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'shairng'" in err
 
     def test_missing_columns(self, tmp_path):
         table = tmp_path / "bad.csv"
@@ -867,9 +950,11 @@ def test_unusable_output_path_exits_2(tmp_path, capsys, config_path, command):
     assert sorted(tmp_path.rglob("*")) == before
 
 
-DROP = object()
+DROP, INSERT = object(), object()
 # no huge finite numbers: a time budget allocates budget_s / window_s windows
-MUTANTS = [DROP, None, 0, -1, math.nan, math.inf, "8", [1], {}, True, [[1]]]
+MUTANTS = [
+    DROP, INSERT, None, 0, -1, math.nan, math.inf, "8", [1], {}, True, [[1]]
+]
 
 
 def _paths(node, prefix=()):
@@ -887,7 +972,8 @@ def _paths(node, prefix=()):
 
 @st.composite
 def mutated(draw, document):
-    """document with one to three entries dropped or replaced by a mutant."""
+    """document with one to three entries dropped, replaced by a mutant, or
+    joined by a mutant under a key no reader takes (in a list: a new item)."""
     document = copy.deepcopy(document)
     for _ in range(draw(st.integers(1, 3))):
         paths = list(_paths(document))
@@ -900,6 +986,12 @@ def mutated(draw, document):
         value = draw(st.sampled_from(MUTANTS))
         if value is DROP:
             del target[last]
+        elif value is INSERT:
+            value = copy.deepcopy(draw(st.sampled_from(MUTANTS[2:])))
+            if isinstance(target, dict):
+                target["unknown"] = value
+            else:
+                target.insert(last, value)
         else:
             target[last] = copy.deepcopy(value)
     return document
