@@ -35,6 +35,7 @@ from .harness import (
     records_to_json,
     records_to_steps_csv,
     records_to_summary_csv,
+    records_to_windows_csv,
     run_campaign,
     summary_rows,
     SUMMARY_COLUMNS,
@@ -151,9 +152,7 @@ def _campaign_from_dict(cdef, cases, machines):
         case=cases[cdef.pop("case")],
         machine=machines[cdef.pop("machine")],
         p_list=tuple(cdef.pop("p_list", ())),
-        weak_scales=tuple(
-            (tuple(pt["elements"]), pt["p"]) for pt in cdef.pop("scales", ())
-        ),
+        weak_scales=tuple(map(_scale_point, cdef.pop("scales", ()))),
         degrees=tuple(cdef.pop("degrees", ())),
         **{
             key: cdef.pop(key)
@@ -163,6 +162,13 @@ def _campaign_from_dict(cdef, cases, machines):
     )
     _refuse_unread(cdef)
     return CampaignSpec(**fields)
+
+
+def _scale_point(pt):
+    pt = {**pt}
+    point = (tuple(pt.pop("elements")), pt.pop("p"))
+    _refuse_unread(pt)
+    return point
 
 
 def _print_table(rows, columns):
@@ -199,27 +205,19 @@ def cmd_bench(args):
             f"campaign {args.campaign!r} failed: {exc}", file=sys.stderr
         )
         return EXIT_RUN
-    base = config.ensure_output_dir(args.out) / args.campaign
+    files = {}
     if "json" in config.formats:
-        (base.parent / f"{base.name}_records.json").write_text(
-            records_to_json(records), encoding="utf-8"
-        )
+        files["records.json"] = records_to_json(records)
     if "csv" in config.formats:
-        (base.parent / f"{base.name}_summary.csv").write_text(
-            records_to_summary_csv(records), encoding="utf-8"
+        files["summary.csv"] = records_to_summary_csv(records)
+        files["steps.csv"] = records_to_steps_csv(records)
+    if any(rec.window_samples for rec in records):
+        files["windows.csv"] = records_to_windows_csv(records, spec.window_s)
+    out = config.ensure_output_dir(args.out)
+    for suffix, text in files.items():
+        (out / f"{args.campaign}_{suffix}").write_text(
+            text, encoding="utf-8", newline=""
         )
-        (base.parent / f"{base.name}_steps.csv").write_text(
-            records_to_steps_csv(records), encoding="utf-8"
-        )
-    for rec in records:
-        if rec.window_samples:
-            path = base.parent / f"{base.name}_windows.csv"
-            with path.open("w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["timestamp", "usage"])
-                for i, s in enumerate(rec.window_samples):
-                    # repr round-trips the float exactly
-                    writer.writerow([f"{i * spec.window_s:.1f}", repr(s)])
     _print_table(summary_rows(records), SUMMARY_COLUMNS)
     for rec in records:
         for warning in rec.warnings:
@@ -281,9 +279,15 @@ def _read_calibration_table(path):
         # cells are stripped; an empty or missing cell counts as absent.
         # Only CSV numbers are parsed here: JSON values reach
         # CalibrationInput as they are, so a JSON bool is refused there
+        rows = list(csv.DictReader(text.splitlines()))
+        # DictReader files the cells past the header under the key None
+        if any(None in row for row in rows):
+            raise ValueError(
+                f"table {path}: a row has more cells than columns"
+            )
         table = [
             {key: value.strip() for key, value in row.items() if key and value}
-            for row in csv.DictReader(text.splitlines())
+            for row in rows
         ]
         for row in table:
             for key in row.keys() & {"t_p", "gamma", "sharing"}:

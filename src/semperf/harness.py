@@ -10,7 +10,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .counts import MEGA, CaseConfig, StepRecord, require, step_flops
 from .gamma import gamma_from_times, predict_time
@@ -133,29 +133,17 @@ class RunRecord:
         return s.flops / (self.n_ranks * s.t_p * MEGA)
 
     def to_json_dict(self):
-        d = {
-            "kind": self.kind,
-            "mode": self.mode,
-            "machine": self.machine_name,
-            "case": asdict(self.case),
-            "n_ranks": self.n_ranks,
-            "rank_grid": list(self.rank_grid),
-            "cut_face_count": self.cut_face_count,
-            "gamma": _json_num(self.gamma),
-            "efficiency": self.efficiency,
-            "speedup": self.speedup,
-            "mflops_wall": self.mflops_wall,
-            "mflops_per_rank_compute": self.mflops_per_rank_compute,
-            "steps_completed": self.steps_completed,
-            "window_samples": list(self.window_samples),
-            "warnings": list(self.warnings),
-            "seed": self.seed,
-            "steps": [_step_json_dict(s) for s in self.steps],
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["machine"] = d.pop("machine_name")
+        d["case"] = asdict(self.case)
+        d["gamma"] = _json_num(self.gamma)
+        d["mflops_wall"] = self.mflops_wall
+        d["mflops_per_rank_compute"] = self.mflops_per_rank_compute
+        d["steps"] = [_step_json_dict(s) for s in self.steps]
         # a modeled point has no setup traffic, and its JSON keeps the
         # bytes it had before the key existed
-        if self.setup_halo_words is not None:
-            d["setup_halo_words"] = self.setup_halo_words
+        if self.setup_halo_words is None:
+            del d["setup_halo_words"]
         return d
 
 
@@ -313,35 +301,25 @@ def records_to_json(records):
     )
 
 
-SUMMARY_COLUMNS = (
-    "P",
-    "elements",
-    "degree",
-    "mflops_wall",
-    "walltime_s",
-    "efficiency",
-    "speedup",
-    "gamma",
-)
+# summary column -> its cell of a record, in order
+_SUMMARY_CELLS = {
+    "P": lambda r: r.n_ranks,
+    "elements": lambda r: "x".join(map(str, r.case.elements)),
+    "degree": lambda r: max(r.case.degrees),
+    "mflops_wall": lambda r: r.mflops_wall,
+    "walltime_s": lambda r: r.step_walltime,
+    "efficiency": lambda r: r.efficiency,
+    "speedup": lambda r: r.speedup,
+    "gamma": lambda r: r.gamma,
+}
+SUMMARY_COLUMNS = tuple(_SUMMARY_CELLS)
 
 
 def summary_rows(records):
-    rows = []
-    for r in records:
-        ex, ey, ez = r.case.elements
-        rows.append(
-            {
-                "P": r.n_ranks,
-                "elements": f"{ex}x{ey}x{ez}",
-                "degree": max(r.case.degrees),
-                "mflops_wall": _fmt(r.mflops_wall),
-                "walltime_s": _fmt(r.step_walltime),
-                "efficiency": _fmt(r.efficiency),
-                "speedup": _fmt(r.speedup),
-                "gamma": _fmt(r.gamma),
-            }
-        )
-    return rows
+    return [
+        {column: _fmt(cell(r)) for column, cell in _SUMMARY_CELLS.items()}
+        for r in records
+    ]
 
 
 def _fmt(x):
@@ -354,32 +332,33 @@ def _fmt(x):
     return str(x)
 
 
-def records_to_summary_csv(records):
+def _csv(columns, rows):
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=SUMMARY_COLUMNS)
+    writer = csv.DictWriter(buf, fieldnames=columns)
     writer.writeheader()
-    for row in summary_rows(records):
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
-STEP_COLUMNS = ("P", "step", *_STEP_FIELDS)
+def records_to_summary_csv(records):
+    return _csv(SUMMARY_COLUMNS, summary_rows(records))
 
 
 def records_to_steps_csv(records):
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=STEP_COLUMNS)
-    writer.writeheader()
-    for rec in records:
-        for i, s in enumerate(rec.steps):
-            writer.writerow(
-                {
-                    "P": rec.n_ranks,
-                    "step": i,
-                    **{
-                        key: _fmt(getattr(s, attr))
-                        for key, attr in _STEP_FIELDS.items()
-                    },
-                }
-            )
-    return buf.getvalue()
+    rows = (
+        {"P": rec.n_ranks, "step": i}
+        | {key: _fmt(getattr(s, attr)) for key, attr in _STEP_FIELDS.items()}
+        for rec in records
+        for i, s in enumerate(rec.steps)
+    )
+    return _csv(("P", "step", *_STEP_FIELDS), rows)
+
+
+def records_to_windows_csv(records, window_s):
+    # repr round-trips each sample exactly
+    rows = (
+        {"timestamp": f"{i * window_s:.1f}", "usage": repr(s)}
+        for rec in records
+        for i, s in enumerate(rec.window_samples)
+    )
+    return _csv(("timestamp", "usage"), rows)

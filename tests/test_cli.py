@@ -94,6 +94,13 @@ def strong_campaign(*p_list):
     }
 
 
+def weak_campaign(**first_point):
+    """The weak64 campaign, keys of its first scale point replaced."""
+    campaign = example_config_dict()["campaigns"]["weak64"]
+    campaign["scales"][0].update(first_point)
+    return campaign
+
+
 def degree_campaign(*degrees):
     return {
         "kind": "degree_sweep", "case": "bench8", "machine": "cray-xt3-sim",
@@ -331,6 +338,7 @@ class TestBench:
             (strong_campaign(1, 2), {"cases": bench8_cases(step=3)}),
             ({**strong_campaign(1, 2), "jiter": 0.1}, {}),
             (strong_campaign(1, 2), {"output-dir": "elsewhere"}),
+            (weak_campaign(q=5), {}),
         ],
         ids=[
             "window_s-zero", "window_s-nan", "budget_s-nan", "budget_s-inf",
@@ -346,7 +354,7 @@ class TestBench:
             "budget_s-over-window-cap", "strong-jitter-string",
             "strong-budget_s-negative", "strong-window_s-zero",
             "case-key-unknown", "campaign-key-unknown",
-            "top-level-key-unknown",
+            "top-level-key-unknown", "scales-key-unknown",
         ],
     )
     def test_malformed_campaign_exits_2_without_output(
@@ -411,8 +419,12 @@ class TestBench:
                 strong_campaign(1), {"output-dir": "elsewhere"},
                 "top level", "unknown key 'output-dir'",
             ),
+            (
+                weak_campaign(q=5), {},
+                "campaign 'bad'", "unknown key 'q'",
+            ),
         ],
-        ids=["case", "campaign", "top-level"],
+        ids=["case", "campaign", "top-level", "scale-point"],
     )
     def test_unknown_key_is_named(
         self, tmp_path, capsys, campaign, top, entry, key
@@ -428,6 +440,39 @@ class TestBench:
         assert captured.err.startswith(f"error: config {path}, {entry}: ")
         assert key in captured.err and captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "formats,campaign,written",
+        [
+            (["json"], "strong8", ["records.json"]),
+            (["csv"], "strong8", ["steps.csv", "summary.csv"]),
+            (None, "strong8", ["records.json", "steps.csv", "summary.csv"]),
+            (["json"], "usage10h", ["records.json", "windows.csv"]),
+            (["csv"], "usage10h", ["steps.csv", "summary.csv", "windows.csv"]),
+            (
+                None, "usage10h",
+                ["records.json", "steps.csv", "summary.csv", "windows.csv"],
+            ),
+        ],
+        ids=["json", "csv", "default", "budget-json", "budget-csv",
+             "budget-default"],
+    )
+    def test_formats_select_the_files_written(
+        self, tmp_path, capsys, formats, campaign, written
+    ):
+        # a time budget's usage windows are written whatever formats says;
+        # no formats key writes both
+        cfg = example_config_dict()
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg.pop("formats")
+        if formats is not None:
+            cfg["formats"] = formats
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["bench", campaign, "--config", str(path)]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            f"{campaign}_{suffix}" for suffix in written
+        ]
 
     def test_readme_config_example_loads(self, tmp_path):
         # the JSON block under README's "Configuration file" heading
@@ -790,6 +835,17 @@ class TestCalibrate:
         assert main(["calibrate", str(table), "--out", str(artifact)]) == 2
         assert not artifact.exists()
         assert "needs columns" in capsys.readouterr().err
+
+    def test_csv_row_with_surplus_cell_exits_2(self, tmp_path, capsys):
+        table = tmp_path / "gamma.csv"
+        table.write_text(
+            CALIBRATION_CSV.replace("base,1", "base,1,99"), encoding="utf-8"
+        )
+        artifact = tmp_path / "fit.json"
+        assert main(["calibrate", str(table), "--out", str(artifact)]) == 2
+        assert not artifact.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: table {table}") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "name,text",

@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from semperf.counts import CaseConfig, laplacian_flops
+from semperf.profiles import example_config_dict
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -73,6 +74,27 @@ def test_traced_predict_hits_the_model_hooks(tmp_path):
     sums = json.loads(Path(f"{prefix}.sums.json").read_text())["sums"]
     assert sums["gamma.predict_time|calls"] == 1
     assert sums["partition.partition_elements|calls"] == 1
+
+
+def test_traced_bench_hits_the_harness_hooks(tmp_path):
+    # bench writes through cli's names, so every file it writes is traced
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    config = tmp_path / "semperf.json"
+    config.write_text(json.dumps(example_config_dict()), encoding="utf-8")
+    prefix = tmp_path / "trace"
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "spans.py"), str(prefix),
+         "bench", "strong8", "--config", str(config),
+         "--out", str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    sums = json.loads(Path(f"{prefix}.sums.json").read_text())["sums"]
+    assert sums["harness.serialize|calls"] == 3
+    assert sums["harness.run_campaign|calls"] == 1
 
 
 # Traces one executed work unit (2^3 elements, N=4, 3 iterations, P=2).
