@@ -16,7 +16,15 @@ from .counts import MEGA, CaseConfig, StepRecord, require, step_flops
 from .gamma import gamma_from_times, predict_time
 from .partition import partition_elements, words_per_step
 
-CAMPAIGN_KINDS = ("strong", "weak", "degree_sweep", "time_budget")
+# the fields each campaign kind reads beside kind, case, machine, seed and
+# mode; a kind's spec refuses any other field set off its default
+_KIND_FIELDS = {
+    "strong": ("p_list",),
+    "weak": ("weak_scales",),
+    "degree_sweep": ("p_list", "degrees"),
+    "time_budget": ("p_list", "budget_s", "window_s", "jitter"),
+}
+CAMPAIGN_KINDS = tuple(_KIND_FIELDS)
 DEFAULT_WINDOW_S = 20.0
 DEFAULT_JITTER = 0.02
 MAX_WINDOWS = 100_000  # the paper's 10 h run is 1,800 windows
@@ -41,6 +49,13 @@ class CampaignSpec:
     def __post_init__(self):
         if self.kind not in CAMPAIGN_KINDS:
             raise ValueError(f"unknown campaign kind {self.kind!r}")
+        reads = ("kind", "case", "machine", "seed", "mode")
+        for f in fields(self):
+            if (
+                f.name not in reads + _KIND_FIELDS[self.kind]
+                and getattr(self, f.name) != f.default
+            ):
+                raise ValueError(f"{self.kind} campaign takes no {f.name}")
         if self.mode not in ("sim", "exec"):
             raise ValueError(f"mode must be sim or exec (got {self.mode!r})")
         for p in self.p_list:
@@ -168,11 +183,13 @@ _STEP_FIELDS = {
 
 def _step_json_dict(step):
     d = {key: getattr(step, attr) for key, attr in _STEP_FIELDS.items()}
-    # executed steps only: a modeled step has no reduction count, and its
-    # JSON keeps the bytes it had before the key existed
-    if step.reduce_words_sent is not None:
-        d["reduce_words"] = step.reduce_words_sent
-    return d
+    # executed steps only: a modeled step has no residual or reduction
+    # count, and its JSON keeps the bytes it had before the keys existed
+    executed = {
+        "reduce_words": step.reduce_words_sent,
+        "rel_residual": step.rel_residual,
+    }
+    return d | {key: v for key, v in executed.items() if v is not None}
 
 
 def point_counts(case, n_ranks):

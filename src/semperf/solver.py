@@ -13,9 +13,10 @@ The counted flops of a step are the closed forms of ``counts``.
 """
 
 import math
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,6 +29,12 @@ from .transport import (
     TransportTimeout,
     allreduce_sum,
     loopback_transport,
+)
+
+# a rank's step counters, in the order RankWorker.tally reads them; a
+# step's record holds each one's growth over the step
+STEP_COUNTERS = (
+    "flops", "halo_words_sent", "halo_messages", "reduce_words_sent"
 )
 
 
@@ -55,14 +62,11 @@ class WorkUnitReport:
         """Per step, the ranks' records combined: counts add up, the slowest
         rank sets the wall time, rank 0 gives iterations and residual."""
         return tuple(
-            StepRecord(
-                iterations=per_rank[0].iterations,
-                rel_residual=per_rank[0].rel_residual,
-                flops=sum(s.flops for s in per_rank),
-                halo_words_sent=sum(s.halo_words_sent for s in per_rank),
-                halo_messages=sum(s.halo_messages for s in per_rank),
-                reduce_words_sent=sum(s.reduce_words_sent for s in per_rank),
+            replace(
+                per_rank[0],
                 walltime=max(s.walltime for s in per_rank),
+                **{c: sum(getattr(s, c) for s in per_rank)
+                   for c in STEP_COUNTERS},
             )
             for per_rank in zip(*self.rank_steps)
         )
@@ -198,6 +202,12 @@ class RankWorker:
         # reach a helper thread
         return np.einsum("ek,ek->k", ub, vb).dot(self._weights)
 
+    def tally(self):
+        """The rank's running step counters, in STEP_COUNTERS order."""
+        words = self.endpoint.tag_words_sent
+        messages = self.endpoint.tag_messages_sent["halo"]
+        return self.counter.total, words["halo"], messages, words["reduce"]
+
     def _allreduce(self, *partials):
         return allreduce_sum(self.endpoint, partials)
 
@@ -331,56 +341,6 @@ def _plane_index(ndim, el_ax, el_sel, node_ax, node_sel):
     return tuple(idx)
 
 
-def _rank_main(
-    config,
-    plan,
-    endpoint,
-    rtol,
-    max_iters,
-    forcing,
-    collect_fields,
-):
-    """Run one rank: its step records, its setup halo words, and (with
-    collect_fields) its elements' final fields by global element index."""
-    try:
-        worker = RankWorker(config, plan, endpoint)
-        worker.setup(forcing)
-        setup_halo = endpoint.tag_words_sent["halo"]
-        steps = []
-        solution = None
-        for _ in range(config.steps):
-            endpoint.barrier()
-            flops0 = worker.counter.total
-            halo0 = endpoint.tag_words_sent["halo"]
-            msgs0 = endpoint.tag_messages_sent["halo"]
-            red0 = endpoint.tag_words_sent["reduce"]
-            t0 = time.perf_counter()
-            solution, iters, rel = worker.run_step(
-                rtol=rtol, max_iters=max_iters
-            )
-            walltime = time.perf_counter() - t0
-            steps.append(
-                StepRecord(
-                    iterations=iters,
-                    rel_residual=rel,
-                    flops=worker.counter.total - flops0,
-                    halo_words_sent=endpoint.tag_words_sent["halo"] - halo0,
-                    halo_messages=endpoint.tag_messages_sent["halo"] - msgs0,
-                    reduce_words_sent=endpoint.tag_words_sent["reduce"] - red0,
-                    walltime=walltime,
-                )
-            )
-    except BaseException:
-        endpoint.abort()
-        raise
-    fields = {}
-    if collect_fields:
-        (x0, _), (y0, _), (z0, _) = worker.block
-        for ez, ey, ex in np.ndindex(solution.shape[:3]):
-            fields[(x0 + ex, y0 + ey, z0 + ez)] = np.array(solution[ez, ey, ex])
-    return steps, setup_halo, fields
-
-
 def run_work_unit(
     config,
     plan=None,
@@ -403,10 +363,38 @@ def run_work_unit(
         plan = partition_elements(config, n_ranks or 1)
     rank0, *others = loopback_transport(plan.n_ranks)
 
-    def run_rank(ep):
-        return _rank_main(
-            config, plan, ep, rtol, max_iters, forcing, collect_fields
-        )
+    def run_rank(endpoint):
+        """One rank: its step records, its setup halo words, and (with
+        collect_fields) its elements' final fields by global element index."""
+        try:
+            worker = RankWorker(config, plan, endpoint)
+            worker.setup(forcing)
+            setup_halo = endpoint.tag_words_sent["halo"]
+            steps = []
+            for _ in range(config.steps):
+                endpoint.barrier()
+                before = worker.tally()
+                t0 = time.perf_counter()
+                solution, iters, rel = worker.run_step(
+                    rtol=rtol, max_iters=max_iters
+                )
+                walltime = time.perf_counter() - t0
+                grown = map(operator.sub, worker.tally(), before)
+                steps.append(StepRecord(
+                    iterations=iters, rel_residual=rel, walltime=walltime,
+                    **dict(zip(STEP_COUNTERS, grown)),
+                ))
+        except BaseException:
+            endpoint.abort()
+            raise
+        fields = {}
+        if collect_fields:
+            (x0, _), (y0, _), (z0, _) = worker.block
+            fields = {
+                (x0 + ex, y0 + ey, z0 + ez): np.array(solution[ez, ey, ex])
+                for ez, ey, ex in np.ndindex(solution.shape[:3])
+            }
+        return tuple(steps), setup_halo, fields
 
     # Rank 0 runs on the calling thread and ranks 1..P-1 on the pool (which
     # starts a thread per submit only), so back-to-back P=1 units reuse one
@@ -427,11 +415,9 @@ def run_work_unit(
             errors[0],
         )
     results += [f.result() for f in futures]
-    fields = {}
-    for _, _, rank_fields in results:
-        fields.update(rank_fields)
+    rank_steps, setup_halo, rank_fields = zip(*results)
     return WorkUnitReport(
-        rank_steps=tuple(tuple(steps) for steps, _, _ in results),
-        setup_halo_words_sent=sum(setup for _, setup, _ in results),
-        fields=fields,
+        rank_steps=rank_steps,
+        setup_halo_words_sent=sum(setup_halo),
+        fields={k: v for fields in rank_fields for k, v in fields.items()},
     )

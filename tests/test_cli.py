@@ -101,6 +101,11 @@ def weak_campaign(**first_point):
     return campaign
 
 
+def example_campaign(name, **extra):
+    """The example config's campaign name, with keys added or replaced."""
+    return {**example_config_dict()["campaigns"][name], **extra}
+
+
 def degree_campaign(*degrees):
     return {
         "kind": "degree_sweep", "case": "bench8", "machine": "cray-xt3-sim",
@@ -207,6 +212,26 @@ class TestBench:
             for step in d["steps"]:
                 k = step["iterations"]
                 assert step["reduce_words"] == p * (p - 1) * (3 * k + 2)
+
+    def test_executed_steps_carry_their_residual(self, config_path, tmp_path):
+        # an executed step writes its recursive relative residual; a
+        # modeled step has none, so its record has no key
+        for campaign, mode in (("strong-exec-small", "exec"),
+                               ("strong8", "sim")):
+            argv = ["bench", campaign, "--config", str(config_path),
+                    "--mode", mode]
+            assert main(argv) == 0
+        out = tmp_path / "out"
+        executed = json.loads(
+            (out / "strong-exec-small_records.json").read_text()
+        )
+        residuals = [s["rel_residual"] for r in executed for s in r["steps"]]
+        assert residuals
+        assert all(math.isfinite(r) and 0 <= r <= 1 for r in residuals)
+        modeled = json.loads((out / "strong8_records.json").read_text())
+        assert all(
+            "rel_residual" not in step for r in modeled for step in r["steps"]
+        )
 
     def test_transport_timeout_fails_the_campaign_with_exit_3(
         self, config_path, tmp_path, monkeypatch, capsys
@@ -339,6 +364,15 @@ class TestBench:
             ({**strong_campaign(1, 2), "jiter": 0.1}, {}),
             (strong_campaign(1, 2), {"output-dir": "elsewhere"}),
             (weak_campaign(q=5), {}),
+            (example_campaign("strong8", degrees=[1]), {}),
+            (
+                example_campaign(
+                    "strong8", scales=[{"elements": [0, 0, 0], "p": 1}]
+                ),
+                {},
+            ),
+            (example_campaign("weak64", p_list=[3]), {}),
+            (example_campaign("strong8", budget_s=5), {}),
         ],
         ids=[
             "window_s-zero", "window_s-nan", "budget_s-nan", "budget_s-inf",
@@ -355,6 +389,8 @@ class TestBench:
             "strong-budget_s-negative", "strong-window_s-zero",
             "case-key-unknown", "campaign-key-unknown",
             "top-level-key-unknown", "scales-key-unknown",
+            "strong-degrees-unread", "strong-scales-unread",
+            "weak-p_list-unread", "strong-budget_s-unread",
         ],
     )
     def test_malformed_campaign_exits_2_without_output(
@@ -423,8 +459,29 @@ class TestBench:
                 weak_campaign(q=5), {},
                 "campaign 'bad'", "unknown key 'q'",
             ),
+            (
+                example_campaign("strong8", degrees=[1]), {},
+                "campaign 'bad'", "strong campaign takes no degrees",
+            ),
+            (
+                example_campaign(
+                    "strong8", scales=[{"elements": [0, 0, 0], "p": 1}]
+                ),
+                {},
+                "campaign 'bad'", "strong campaign takes no weak_scales",
+            ),
+            (
+                example_campaign("weak64", p_list=[3]), {},
+                "campaign 'bad'", "weak campaign takes no p_list",
+            ),
+            (
+                example_campaign("strong8", budget_s=5), {},
+                "campaign 'bad'", "strong campaign takes no budget_s",
+            ),
         ],
-        ids=["case", "campaign", "top-level", "scale-point"],
+        ids=["case", "campaign", "top-level", "scale-point",
+             "strong-degrees-unread", "strong-scales-unread",
+             "weak-p_list-unread", "strong-budget_s-unread"],
     )
     def test_unknown_key_is_named(
         self, tmp_path, capsys, campaign, top, entry, key

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from semperf.harness import (
+    DEFAULT_JITTER,
     DEFAULT_WINDOW_S,
     MAX_WINDOWS,
     CampaignSpec,
@@ -263,6 +264,58 @@ class TestCampaignSpecNumbers:
     def test_good_values_build(self, machines):
         spec = self.spec(machines, window_s=30, jitter=0, seed=0)
         assert (spec.budget_s, spec.window_s, spec.jitter) == (3600.0, 30, 0)
+
+
+# the fields each campaign kind reads, with values it accepts; for every
+# field some kind reads, a value off its default, and its default
+KIND_READS = {
+    "strong": {"p_list": (2,)},
+    "weak": {"weak_scales": (((4, 4, 4), 1),)},
+    "degree_sweep": {"p_list": (4,), "degrees": (6,)},
+    "time_budget": {"p_list": (8,), "budget_s": 3600.0,
+                    "window_s": 30.0, "jitter": 0.0},
+}
+UNREAD_VALUES = {
+    "p_list": (3,), "weak_scales": (((8, 8, 8), 8),), "degrees": (8,),
+    "budget_s": 5.0, "window_s": 30.0, "jitter": 0.0,
+}
+UNREAD_DEFAULTS = {
+    "p_list": (), "weak_scales": (), "degrees": (), "budget_s": 0,
+    "window_s": DEFAULT_WINDOW_S, "jitter": DEFAULT_JITTER,
+}
+
+
+class TestCampaignSpecFields:
+    """A field its kind does not read is refused unless at its default."""
+
+    def spec(self, machines, kind, **fields):
+        return CampaignSpec(
+            kind=kind,
+            case=REFERENCE_STRONG_CASE,
+            machine=machines["pleiades2-sim"],
+            **KIND_READS[kind],
+            **fields,
+        )
+
+    @pytest.mark.parametrize(
+        "kind,name",
+        [(kind, name) for kind in KIND_READS for name in UNREAD_VALUES
+         if name not in KIND_READS[kind]],
+    )
+    def test_unread_field_is_refused(self, machines, kind, name):
+        with pytest.raises(
+            ValueError, match=f"^{kind} campaign takes no {name}$"
+        ):
+            self.spec(machines, kind, **{name: UNREAD_VALUES[name]})
+
+    @pytest.mark.parametrize("kind", KIND_READS)
+    def test_unread_field_at_its_default_builds(self, machines, kind):
+        unread = {
+            name: value for name, value in UNREAD_DEFAULTS.items()
+            if name not in KIND_READS[kind]
+        }
+        spec = self.spec(machines, kind, **unread)
+        assert spec == self.spec(machines, kind)
 
 
 class TestExecutedMode:

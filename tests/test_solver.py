@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -980,3 +981,33 @@ class TestSpectralConvergence:
         for lo, hi in zip(degrees, degrees[1:]):
             assert errors[hi] < errors[lo]
         assert errors[4] / errors[10] >= 100.0
+
+
+def test_step_counters_are_named_once():
+    # a step counter is spelled, as a keyword argument or a string, only in
+    # solver.STEP_COUNTERS, so a new counter joins the tally, the step
+    # records and their combination in one place
+    counters = {"flops", "halo_words_sent", "halo_messages",
+                "reduce_words_sent"}
+    source = Path(__file__).resolve().parents[1] / "src/semperf/solver.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    table = [
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and [ast.unparse(t) for t in node.targets] == ["STEP_COUNTERS"]
+    ]
+    in_table = {id(node) for t in table for node in ast.walk(t)}
+    spelled = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.keyword) and node.arg in counters)
+        or (
+            isinstance(node, ast.Constant)
+            and node.value in counters
+            and id(node) not in in_table
+        )
+    ]
+    assert spelled == []
+    assert [ast.literal_eval(t) for t in table] == [
+        ("flops", "halo_words_sent", "halo_messages", "reduce_words_sent")
+    ]
