@@ -161,7 +161,10 @@ def _campaign_from_dict(cdef, cases, machines):
         },
     )
     _refuse_unread(cdef)
-    return CampaignSpec(**fields)
+    try:
+        return CampaignSpec(**fields)
+    except ValueError as exc:  # the config calls weak_scales scales
+        raise ValueError(str(exc).replace("weak_scales", "scales", 1)) from exc
 
 
 def _scale_point(pt):

@@ -1,4 +1,4 @@
-"""The benchmark case, its exact flop counts and the per-step record.
+"""The benchmark case, each kernel's flop tally and the per-step record.
 
 Counted flops are the additions, multiplications and divisions performed by
 the numerical kernels themselves (operator applications, vector updates,
@@ -19,12 +19,12 @@ from dataclasses import dataclass
 WORD_BYTES = 8
 MEGA = 1_000_000
 
-# Flops per stored value and CG iteration outside the operator:
-# dot(p,q) 3, x update 2, r update 2, precondition 1, dot(r,z) 3,
-# dot(r,r) 3, p update 2.
-VECTOR_FLOPS_PER_ITER = 16
-# Per-step start-up on r0 = b: precondition 1, dot(r0,z0) 3, dot(r0,r0) 3.
-VECTOR_FLOPS_PER_STEP = 7
+# (additions, multiplications) per stored value outside the operator, of one
+# CG iteration: the p.q, r.z and r.r partials (1, 2) each, the x, r and p
+# updates (1, 1) each and z = inv_diag * r (0, 1); and of a step's start-up
+# on r0 = b: z0 and the r0.z0 and r0.r0 partials.
+VECTOR_FLOPS_PER_ITER = (6, 10)
+VECTOR_FLOPS_PER_STEP = (2, 5)
 # alpha and beta divisions, performed by every rank.
 DIVS_PER_ITER_PER_RANK = 2
 
@@ -86,17 +86,22 @@ class CaseConfig:
         return (nx + 1) * (ny + 1) * (nz + 1)
 
 
+def derivative_flops(n_axis):
+    """(additions, multiplications) per grid point of a derivative along an
+    axis of n_axis points: one of each per term of its row of D."""
+    return n_axis, n_axis
+
+
+def laplacian_point_flops(shape):
+    """(additions, multiplications) per grid point of a weak Laplacian: per
+    direction D, a weight scaling and D^T, then 2 adds sum the directions."""
+    adds, muls = map(sum, zip(*map(derivative_flops, shape)))
+    return 2 * adds + 2, 2 * muls + 3
+
+
 def laplacian_flops(shape):
     """Counted flops of one weak-Laplacian application on one element."""
-    nx, ny, nz = shape
-    npts = nx * ny * nz
-    total = 0
-    for n_axis in shape:
-        total += 2 * npts * n_axis  # D
-        total += npts  # weight scaling
-        total += 2 * npts * n_axis  # D^T
-    total += 2 * npts  # sum of the three direction terms
-    return total
+    return math.prod(shape) * sum(laplacian_point_flops(shape))
 
 
 def iteration_flops(config):
@@ -104,7 +109,7 @@ def iteration_flops(config):
     shape = tuple(n + 1 for n in config.degrees)
     npts = config.points_per_element
     per_element = config.n_fields * (
-        laplacian_flops(shape) + VECTOR_FLOPS_PER_ITER * npts
+        laplacian_flops(shape) + sum(VECTOR_FLOPS_PER_ITER) * npts
     )
     return config.n_elements * per_element
 
@@ -114,7 +119,7 @@ def step_setup_flops(config):
     return (
         config.n_elements
         * config.n_fields
-        * VECTOR_FLOPS_PER_STEP
+        * sum(VECTOR_FLOPS_PER_STEP)
         * config.points_per_element
     )
 

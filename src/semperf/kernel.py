@@ -10,6 +10,7 @@ import numpy as np
 
 from .basis import SpectralBasis
 from .counts import WORD_BYTES, CaseConfig  # CaseConfig: perfbench/child.py
+from .counts import derivative_flops, laplacian_point_flops
 
 # Bytes of each of the operator's two scratch arrays, and so of the element
 # blocks it works through: at N=8 (729 points) a block is 44 elements, and
@@ -109,8 +110,7 @@ def tensor_derivative(element_field, basis, axis, counter=None):
     # grid axes are (z, y, x); field axis 0 is x which is grid axis -1
     out = _apply_matrix_along(grid, basis.diff_matrix, -(ax + 1))
     if counter is not None:
-        npts = element_field.values.size
-        counter.count(add=npts * n_axis, mul=npts * n_axis)
+        counter.count(*(grid.size * n for n in derivative_flops(n_axis)))
     return ElementField.from_grid(element_field.index, out)
 
 
@@ -160,10 +160,7 @@ class ElementOperator:
         # the scaled weights tiled to a block, sized by apply_grid to the
         # most elements it has been given, up to a block
         self._tile_weights(0)
-        # counted adds and muls per grid point of one application
-        per_axis = 2 * (nx + ny + nz)
-        self._adds_per_point = per_axis + 2
-        self._muls_per_point = per_axis + 3
+        self._point_flops = laplacian_point_flops(self.shape)
 
     def _tile_weights(self, rows):
         # per direction, its scaled weights repeated over `rows` elements in
@@ -249,10 +246,7 @@ class ElementOperator:
             t *= wz[:b]
             o += np.matmul(dzt, t, out=u)
         if counter is not None:
-            npts = grid.size
-            counter.count(
-                add=self._adds_per_point * npts, mul=self._muls_per_point * npts
-            )
+            counter.count(*(grid.size * n for n in self._point_flops))
         return out
 
     def diagonal_grid(self):

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import counts
 from .basis import build_gll_basis
 from .counts import StepRecord, step_flops  # step_flops: perfbench/child.py
 from .kernel import ElementOperator, FlopCounter
@@ -282,8 +283,7 @@ class RankWorker:
             np.copyto(pb, qb)
             rz_part += dot(rb, qb)
             rr_part += dot(rb, rb)
-        # z (1 per point), then the rz and rr partials (3 per point each)
-        self.counter.count(add=2 * size, mul=5 * size)
+        self.counter.count(*(size * n for n in counts.VECTOR_FLOPS_PER_STEP))
         rho, rr = self._allreduce(rz_part, rr_part)
         rr0 = rr if rr > 0 else 1.0
         threshold = (rtol * rtol) * rr0 if rtol is not None else -math.inf
@@ -325,10 +325,8 @@ class RankWorker:
             for _, _, _, pb, zb, _ in blocks:
                 pb *= beta
                 pb += zb
-            # the iteration's vector flops in one call: the p.q, rz and rr
-            # partials (3 per point each), the x, r and z updates (5), the
-            # p update (2), alpha and beta
-            self.counter.count(add=6 * size, mul=10 * size, div=2)
+            adds, muls = (size * n for n in counts.VECTOR_FLOPS_PER_ITER)
+            self.counter.count(adds, muls, counts.DIVS_PER_ITER_PER_RANK)
             rho = rho_new
             iters += 1
         return self._x, iters, math.sqrt(rr / rr0)

@@ -468,7 +468,11 @@ class TestBench:
                     "strong8", scales=[{"elements": [0, 0, 0], "p": 1}]
                 ),
                 {},
-                "campaign 'bad'", "strong campaign takes no weak_scales",
+                "campaign 'bad'", "strong campaign takes no scales",
+            ),
+            (
+                weak_campaign(p=0), {},
+                "campaign 'bad'", ": scales must be an integer >= 1 (got 0)",
             ),
             (
                 example_campaign("weak64", p_list=[3]), {},
@@ -480,7 +484,7 @@ class TestBench:
             ),
         ],
         ids=["case", "campaign", "top-level", "scale-point",
-             "strong-degrees-unread", "strong-scales-unread",
+             "strong-degrees-unread", "strong-scales-unread", "scale-p-zero",
              "weak-p_list-unread", "strong-budget_s-unread"],
     )
     def test_unknown_key_is_named(

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semperf.basis import build_gll_basis
+from semperf.counts import laplacian_flops
 from semperf.kernel import (
     BLOCK_BYTES,
     WORD_BYTES,
@@ -214,6 +215,8 @@ class TestElementLaplacian:
         assert counter.additions == 6 * tally.additions
         assert counter.multiplications == 6 * tally.multiplications
         assert counter.divisions == 0
+        # and the closed form gives one element's tally
+        assert laplacian_flops((3, 4, 5)) == tally.total
 
     def test_anisotropic_bases_supported(self):
         bases = (build_gll_basis(2), build_gll_basis(3), build_gll_basis(4))
