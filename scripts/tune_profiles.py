@@ -5,47 +5,41 @@ Run from the repository root after changing the flop/word accounting or the
 reference tables; paste the printed constants into semperf/profiles.py.
 scripts/model_validation.py prints the fitted profiles against the tables.
 
-Two fits:
-  1. The strong-scaling twin: pick the CG budget so one step of the 8^3,
-     N=8 case costs the measured 155.4 GFlop, then choose link bandwidth
-     and latency minimizing the worst efficiency deviation from the
-     measured strong-scaling curve (the core rate is pinned by the 243.59 s
-     single-rank step).  The efficiencies come from gamma.predict_time on
-     the per-P counts of harness.point_counts, the model every campaign
-     uses.
-  2. The degree-sweep twin: least-squares fit of rate(N) = peak*(1-c/(N+1))
-     to the measured per-rank rates.
+Both fits run the model the campaigns run, so a change to a model rule is
+one edit in semperf and the next fit follows it:
+  1. The strong-scaling twin: pick the CG budget so one step of
+     profiles.REFERENCE_STRONG_CASE costs the measured 155.4 GFlop, then
+     choose link bandwidth and latency minimizing the worst efficiency
+     deviation from the measured strong-scaling curve.  The core rate is
+     profiles.strong_sim_rate, which pins the 243.59 s single-rank step,
+     and each P's T_C/T_P and T_L/T_P come from harness.model_point.
+  2. The degree-sweep twin: least-squares fit of the rate law of
+     MachineProfile.rate_at_degree, peak*(1-c/(N+1)), to the measured
+     per-rank rates.
 """
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 
-from semperf.counts import (
-    MEGA,
-    CaseConfig,
-    iteration_flops,
-    step_flops,
-    step_setup_flops,
-)
-from semperf.gamma import MachineProfile, predict_time
-from semperf.harness import point_counts
+from semperf.counts import iteration_flops, step_flops, step_setup_flops
+from semperf.gamma import MachineProfile
+from semperf.harness import model_point
+from semperf.profiles import REFERENCE_STRONG_CASE, strong_sim_rate
 from semperf.refdata import (
     DEGREE_SWEEP_ROWS,
     STRONG_EFFICIENCY_TARGETS,
-    STRONG_SCALING_ROWS,
     TOTAL_WORK_GFLOP,
 )
 
 
 def pick_iteration_budget():
-    base = CaseConfig(elements=(8, 8, 8), degrees=(8, 8, 8), cg_iters_per_step=1)
+    base = replace(REFERENCE_STRONG_CASE, cg_iters_per_step=1)
     per_iter = iteration_flops(base)
     setup = step_setup_flops(base)
     iters = round((TOTAL_WORK_GFLOP * 1e9 - setup) / per_iter)
-    case = CaseConfig(
-        elements=(8, 8, 8), degrees=(8, 8, 8), cg_iters_per_step=iters
-    )
+    case = replace(REFERENCE_STRONG_CASE, cg_iters_per_step=iters)
     total = step_flops(case, 1)
     print(f"iteration budget: {iters}  (step = {total / 1e9:.5f} GFlop)")
     return case
@@ -60,14 +54,11 @@ def fit_strong_profile(case):
     is nonempty iff one of its vertices meets every bound; bisection on h
     finds the least bound and its vertex.
     """
-    # the core rate that puts the single-rank step at the measured time
-    rate = step_flops(case, 1) / (STRONG_SCALING_ROWS[0][2] * MEGA)
-    unit = MachineProfile("strong-fit", rate, 1.0, 1.0)
+    unit = MachineProfile("strong-fit", strong_sim_rate(case), 1.0, 1.0)
     coef = []
     for p in STRONG_EFFICIENCY_TARGETS:
-        _, flops, words, messages = point_counts(case, p)
-        td = predict_time(unit, max(case.degrees), p, flops, words, messages)
-        coef.append((td.t_c / td.t_p, td.t_l / td.t_p))
+        step = model_point(case, unit, p).steps[0]
+        coef.append((step.t_c / step.t_p, step.t_l / step.t_p))
     targets = np.array(list(STRONG_EFFICIENCY_TARGETS.values()))
     # half-planes rows @ (u, v) <= bound: the upper and lower bound on
     # 1/E - 1 of every P, then u >= 0 and v >= 0
@@ -97,11 +88,13 @@ def fit_strong_profile(case):
 
 
 def fit_degree_rates():
-    degrees = np.array([row[0] for row in DEGREE_SWEEP_ROWS], dtype=float)
+    degrees = [row[0] for row in DEGREE_SWEEP_ROWS]
     rates = np.array([row[1] for row in DEGREE_SWEEP_ROWS], dtype=float)
 
     def resid(c):
-        shape = 1.0 - c / (degrees + 1.0)
+        # the shape of rate(N) at unit peak, for curvature c
+        unit = MachineProfile("degree-fit", 1.0, 1.0, 0.0, rate_curvature=c)
+        shape = np.array([unit.rate_at_degree(n) for n in degrees])
         peak = float(shape @ rates / (shape @ shape))
         return peak, float(np.sum((peak * shape - rates) ** 2))
 

@@ -192,15 +192,6 @@ def _step_json_dict(step):
     return d | {key: v for key, v in executed.items() if v is not None}
 
 
-def point_counts(case, n_ranks):
-    """Partition plan, then flops, halo words and messages of one step."""
-    plan = partition_elements(case, n_ranks)
-    flops = step_flops(case, n_ranks)
-    words = words_per_step(plan, case, case.cg_iters_per_step)
-    messages = plan.messages_per_exchange * case.cg_iters_per_step
-    return plan, flops, words, messages
-
-
 def _record(kind, mode, machine, case, plan, steps, seed, **figures):
     """One scaling point's record; the plan gives its P, grid and cut."""
     return RunRecord(
@@ -219,7 +210,10 @@ def _record(kind, mode, machine, case, plan, steps, seed, **figures):
 
 def model_point(case, machine, n_ranks, seed=0, kind="point"):
     """Model one scaling point: counts, then T_P/T_C/T_L, then Gamma, E, S."""
-    plan, flops, words, messages = point_counts(case, n_ranks)
+    plan = partition_elements(case, n_ranks)
+    flops = step_flops(case, n_ranks)
+    words = words_per_step(plan, case, case.cg_iters_per_step)
+    messages = plan.messages_per_exchange * case.cg_iters_per_step
     td = predict_time(
         machine, max(case.degrees), n_ranks, flops, words, messages
     )

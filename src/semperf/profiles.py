@@ -1,11 +1,13 @@
 """Built-in machine profiles and the canonical benchmark cases.
 
 The two ``*-sim`` profiles are simulation twins whose constants were fitted
-once by scripts/tune_profiles.py: the strong-scaling twin reproduces the
-measured 243.59 s single-rank step and the measured efficiency curve of
-the 8^3, N=8 case; the degree-sweep twin reproduces the measured per-rank
-rate growth over N.  The plain cluster profiles carry indicative measured
-interconnect figures for prediction and calibration demos.
+once by scripts/tune_profiles.py, through harness.model_point and
+MachineProfile.rate_at_degree: the strong-scaling twin reproduces the
+measured 243.59 s single-rank step (strong_sim_rate) and the measured
+efficiency curve of REFERENCE_STRONG_CASE; the degree-sweep twin
+reproduces the measured per-rank rate growth over N.  The plain cluster
+profiles carry indicative measured interconnect figures for prediction
+and calibration demos.
 """
 
 from .counts import MEGA, CaseConfig, step_flops
@@ -33,16 +35,17 @@ _XT3_RATE_CURVATURE = 5.601355
 _REFERENCE_T1_S = STRONG_SCALING_ROWS[0][2]
 
 
-def _strong_sim_rate():
-    # Pin the single-rank step of the canonical case to the measured time.
-    return step_flops(REFERENCE_STRONG_CASE, 1) / (_REFERENCE_T1_S * MEGA)
+def strong_sim_rate(case):
+    """The core rate that puts the single-rank step of case at the measured
+    time of the canonical case."""
+    return step_flops(case, 1) / (_REFERENCE_T1_S * MEGA)
 
 
 def builtin_profiles():
     return {
         "pleiades2-sim": MachineProfile(
             name="pleiades2-sim",
-            effective_core_rate=_strong_sim_rate(),
+            effective_core_rate=strong_sim_rate(REFERENCE_STRONG_CASE),
             link_bandwidth=_SIM_BANDWIDTH_MBS,
             latency=_SIM_LATENCY_S,
         ),

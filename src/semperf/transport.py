@@ -113,8 +113,6 @@ def allreduce_sum(endpoint, values):
     """
     values = np.array(values, dtype=float, ndmin=1)
     rank, n_ranks = endpoint.rank, endpoint.n_ranks
-    if n_ranks == 1:
-        return values
     for peer in range(n_ranks):
         if peer != rank:
             endpoint.send(peer, values, tag="reduce")
