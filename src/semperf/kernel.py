@@ -161,6 +161,9 @@ class ElementOperator:
         # most elements it has been given, up to a block
         self._tile_weights(0)
         self._point_flops = laplacian_point_flops(self.shape)
+        # apply_grid's last (grid, out) pair, their shapes, its products on
+        # them and its flops; no pair yet
+        self._prepared = None, None, None, (), ()
 
     def _tile_weights(self, rows):
         # per direction, its scaled weights repeated over `rows` elements in
@@ -198,15 +201,37 @@ class ElementOperator:
         ``out``, if given, must be a C-contiguous float64 array of grid's
         shape that shares no memory with grid (``ValueError`` otherwise);
         it is overwritten and returned.  Without it a new array is
-        returned.  The scratch arrays belong to the operator, so one
-        operator serves one thread at a time.
+        returned.  The operator keeps the list of products it prepared for
+        the last ``(grid, out)`` pair, and the two arrays with it, and runs
+        that list again while the same two arrays come back with the same
+        shapes; any other call checks its arguments and prepares a new
+        list.  The scratch arrays belong to the operator, so one operator
+        serves one thread at a time.
         """
+        last_grid, last_out, shapes, products, flops = self._prepared
+        if not (
+            grid is last_grid
+            and out is last_out
+            and (grid.shape, out.shape) == shapes
+        ):
+            out, products, flops = self._prepare(grid, out)
+        for product, a, b, result in products:
+            product(a, b, out=result)
+        if counter is not None:
+            counter.count(*flops)
+        return out
+
+    def _prepare(self, grid, out):
+        """Check grid and out (a new array when None), and list apply_grid's
+        products on them as (ufunc, a, b, out), with the call's flops.  The
+        list is kept for the pair when out was given."""
         if grid.shape[-3:] != self.shape[::-1]:
             raise ValueError(
                 f"grid {grid.shape} does not end in the element grid "
                 f"{self.shape[::-1]}"
             )
-        if out is None:
+        given = out is not None
+        if not given:
             out = np.empty(grid.shape)
         elif (
             out.shape != grid.shape
@@ -230,24 +255,36 @@ class ElementOperator:
         if len(self._weight_tiles[0]) < rows:
             self._tile_weights(rows)
         wx, wy, wz = self._weight_tiles
+        matmul, multiply, add = np.matmul, np.multiply, np.add
+        products = []
         for lo in range(0, n_el, block):
             b = min(block, n_el - lo)
             el = slice(lo, lo + b)
             t = tx[:b]
-            np.matmul(gx[el], dxt, out=t)
-            t *= wx[:b]
-            np.matmul(t, dx, out=ox[el])
+            products += (
+                (matmul, gx[el], dxt, t),
+                (multiply, t, wx[:b], t),
+                (matmul, t, dx, ox[el]),
+            )
             t, u, o = ty[:b], uy[:b], oy[el]
-            np.matmul(dy, gy[el], out=t)
-            t *= wy[:b]
-            o += np.matmul(dyt, t, out=u)
+            products += (
+                (matmul, dy, gy[el], t),
+                (multiply, t, wy[:b], t),
+                (matmul, dyt, t, u),
+                (add, o, u, o),
+            )
             t, u, o = tz[:b], uz[:b], oz[el]
-            np.matmul(dz, gz[el], out=t)
-            t *= wz[:b]
-            o += np.matmul(dzt, t, out=u)
-        if counter is not None:
-            counter.count(*(grid.size * n for n in self._point_flops))
-        return out
+            products += (
+                (matmul, dz, gz[el], t),
+                (multiply, t, wz[:b], t),
+                (matmul, dzt, t, u),
+                (add, o, u, o),
+            )
+        products = tuple(products)
+        flops = tuple(grid.size * n for n in self._point_flops)
+        if given:
+            self._prepared = grid, out, (grid.shape, out.shape), products, flops
+        return out, products, flops
 
     def diagonal_grid(self):
         """Diagonal of the element stiffness, for Jacobi preconditioning."""

@@ -147,6 +147,8 @@ class RankWorker:
         # keep the walls as the flat indices of their nodes (on 8^3
         # elements, N=8, P=1: 242 KB, not 3 MB)
         self._walls = np.flatnonzero(walls)
+        # dssum's last array, its shape and its halo plane views; none yet
+        self._halo_planes = None, None, ()
 
         # one element's inverse multiplicity and inverse Jacobi diagonal,
         # (nz, ny, nx) tables that broadcast over the block: the element's
@@ -174,22 +176,30 @@ class RankWorker:
         with the face neighbors, so values accumulated in earlier sweeps
         carry edge and corner contributions along.  Both sides of an
         interface compute the same two-term sum, which IEEE addition makes
-        bitwise identical.
+        bitwise identical.  The worker keeps the plane views of the last
+        array it summed, and the array with them, while its shape holds.
         """
+        last, shape, planes = self._halo_planes
+        if not (arr is last and arr.shape == shape):
+            planes = tuple(
+                (minus, plus, *(None if i is None else arr[i] for i in idx))
+                for minus, plus, *idx in self._halo
+            )
+            self._halo_planes = arr, arr.shape, planes
         endpoint = self.endpoint
-        for minus, plus, lo, hi, left, right in self._halo:
+        for minus, plus, lo, hi, left, right in planes:
             if minus is not None:
-                endpoint.send(minus, arr[lo], tag="halo")
+                endpoint.send(minus, lo, tag="halo")
             if plus is not None:
-                endpoint.send(plus, arr[hi], tag="halo")
+                endpoint.send(plus, hi, tag="halo")
             if left is not None:
-                shared = arr[left] + arr[right]
-                arr[left] = shared
-                arr[right] = shared
+                shared = left + right
+                left[...] = shared
+                right[...] = shared
             if minus is not None:
-                arr[lo] += endpoint.receive(minus, tag="halo")
+                lo += endpoint.receive(minus, tag="halo")
             if plus is not None:
-                arr[hi] += endpoint.receive(plus, tag="halo")
+                hi += endpoint.receive(plus, tag="halo")
         return arr
 
     # -- counted kernels ---------------------------------------------------
@@ -287,6 +297,10 @@ class RankWorker:
         rho, rr = self._allreduce(rz_part, rr_part)
         rr0 = rr if rr > 0 else 1.0
         threshold = (rtol * rtol) * rr0 if rtol is not None else -math.inf
+        iter_flops = (
+            *(size * n for n in counts.VECTOR_FLOPS_PER_ITER),
+            counts.DIVS_PER_ITER_PER_RANK,
+        )
         iters = 0
         while iters < max_iters:
             # rho reaches 0, exactly or by underflow, once r vanishes: the
@@ -325,8 +339,7 @@ class RankWorker:
             for _, _, _, pb, zb, _ in blocks:
                 pb *= beta
                 pb += zb
-            adds, muls = (size * n for n in counts.VECTOR_FLOPS_PER_ITER)
-            self.counter.count(adds, muls, counts.DIVS_PER_ITER_PER_RANK)
+            self.counter.count(*iter_flops)
             rho = rho_new
             iters += 1
         return self._x, iters, math.sqrt(rr / rr0)
@@ -355,10 +368,23 @@ def run_work_unit(
     with ``rtol`` set, a step stops at the relative residual or at the
     budget, whichever comes first; the report keeps each rank's records.
     If a rank raises, the transport is aborted and that rank's exception
-    is raised here.
+    is raised here.  Before any rank starts, a ``ValueError`` refuses an
+    ``n_ranks`` that is not an integer >= 1 or that differs from the
+    plan's, a ``max_iters`` that is not an integer >= 0, and an ``rtol``
+    that is not a finite number > 0.
     """
+    if n_ranks is not None:
+        counts.require("n_ranks", n_ranks, 1, integer=True)
+    if max_iters is not None:
+        counts.require("max_iters", max_iters, 0, integer=True)
+    if rtol is not None:
+        counts.require("rtol", rtol, 0, above=True)
     if plan is None:
-        plan = partition_elements(config, n_ranks or 1)
+        plan = partition_elements(config, 1 if n_ranks is None else n_ranks)
+    elif n_ranks is not None and n_ranks != plan.n_ranks:
+        raise ValueError(
+            f"n_ranks {n_ranks} does not match the plan's {plan.n_ranks} ranks"
+        )
     rank0, *others = loopback_transport(plan.n_ranks)
 
     def run_rank(endpoint):

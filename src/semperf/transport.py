@@ -39,30 +39,40 @@ _ABORT = object()  # queue marker of an aborted sender; never counted
 
 
 class LoopbackEndpoint:
-    """One rank's view of the shared loopback fabric."""
+    """One rank's view of the shared loopback fabric: per peer, the mailbox
+    it sends to and the one it receives from."""
 
     def __init__(self, rank, n_ranks, queues):
         self.rank = rank
         self.n_ranks = n_ranks
-        self.peers = frozenset(r for r in range(n_ranks) if r != rank)
-        self._queues = queues
+        others = [r for r in range(n_ranks) if r != rank]
+        self.peers = frozenset(others)
+        self._outbox = {peer: queues[rank, peer] for peer in others}
+        self._inbox = {peer: queues[peer, rank] for peer in others}
         self.tag_words_sent = defaultdict(int)
         self.tag_messages_sent = defaultdict(int)
 
+    def _no_peer(self, peer):
+        return ValueError(f"rank {self.rank} has no peer {peer}")
+
     def send(self, peer, payload, tag):
-        if peer not in self.peers:
-            raise ValueError(f"rank {self.rank} has no peer {peer}")
+        try:
+            mailbox = self._outbox[peer]
+        except KeyError:
+            raise self._no_peer(peer) from None
         data = np.array(payload, dtype=float, copy=True)
         self.tag_words_sent[tag] += data.size
         self.tag_messages_sent[tag] += 1
-        self._queues[self.rank, peer].put((tag, data))
+        mailbox.put((tag, data))
 
     def receive(self, peer, tag):
         """Next message from peer, which must carry the given tag."""
-        if peer not in self.peers:
-            raise ValueError(f"rank {self.rank} has no peer {peer}")
         try:
-            item = self._queues[peer, self.rank].get(timeout=WAIT_TIMEOUT_S)
+            mailbox = self._inbox[peer]
+        except KeyError:
+            raise self._no_peer(peer) from None
+        try:
+            item = mailbox.get(timeout=WAIT_TIMEOUT_S)
         except queue.Empty:
             raise TransportTimeout(
                 f"rank {self.rank} timed out waiting for rank {peer}"
@@ -87,8 +97,8 @@ class LoopbackEndpoint:
     def abort(self):
         """Make each peer's next receive from this rank raise
         TransportAborted."""
-        for peer in self.peers:
-            self._queues[self.rank, peer].put(_ABORT)
+        for mailbox in self._outbox.values():
+            mailbox.put(_ABORT)
 
 
 def loopback_transport(n_ranks):

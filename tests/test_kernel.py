@@ -285,6 +285,48 @@ class TestBlockedOperator:
             assert op.apply_grid(grid[:n_el]).tobytes() == expected
             assert {len(t) for t in op._weight_tiles} == {rows}
 
+    def test_kept_products_follow_the_grid_s_contents(self):
+        # 100 elements at N=8: two blocks and a remainder
+        op, grid = self.operator_and_grid((8, 8, 8), (100,))
+        out = np.empty_like(grid)
+        rng = np.random.default_rng(7)
+        kept = None
+        for _ in range(3):
+            assert op.apply_grid(grid, out=out) is out
+            assert out.tobytes() == reference_apply_grid(op, grid).tobytes()
+            assert kept is None or op._prepared is kept
+            kept = op._prepared
+            grid[...] = rng.standard_normal(grid.shape)
+
+    def test_two_pairs_in_turn(self):
+        op, grid = self.operator_and_grid((4, 4, 4), (3, 2))
+        other = np.random.default_rng(8).standard_normal((7, 5, 5, 5))
+        pairs = [(grid, np.empty_like(grid)), (other, np.empty_like(other))]
+        for g, out in pairs * 2:
+            assert op.apply_grid(g, out=out) is out
+            assert out.tobytes() == reference_apply_grid(op, g).tobytes()
+
+    @pytest.mark.parametrize(
+        "reshaped, shape, message",
+        [("grid", (10, 5, 5), "element grid"), ("out", (2, 125), "out must be")],
+    )
+    def test_kept_pair_reshaped_in_place_rejected(self, reshaped, shape, message):
+        op, grid = self.operator_and_grid((4, 4, 4), (2,))
+        arrays = {"grid": grid, "out": np.empty_like(grid)}
+        op.apply_grid(arrays["grid"], out=arrays["out"])
+        arrays[reshaped].shape = shape
+        with pytest.raises(ValueError, match=message):
+            op.apply_grid(arrays["grid"], out=arrays["out"])
+
+    def test_calls_without_out_return_new_arrays(self):
+        op, grid = self.operator_and_grid((4, 4, 4), (3,))
+        expected = reference_apply_grid(op, grid).tobytes()
+        out = op.apply_grid(grid, out=np.empty_like(grid))
+        first, second = op.apply_grid(grid), op.apply_grid(grid)
+        for a, b in ((first, second), (first, out), (second, out)):
+            assert not np.shares_memory(a, b)
+        assert first.tobytes() == second.tobytes() == expected
+
     @pytest.mark.parametrize(
         "make_out",
         [

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semperf import solver
 from semperf.basis import build_gll_basis
 from semperf.counts import CaseConfig, iteration_flops, step_flops
 from semperf.harness import _executed_point
@@ -267,12 +268,22 @@ class TestGatherScatter:
         return RankWorker(config, plan, endpoint)
 
     def test_dssum_makes_copies_coherent(self):
+        # q, then a fresh array, then q again: each sum has the bits of a
+        # new worker's first sum, and summing one array leaves the other,
+        # whose plane views the worker kept, as it was
         config = small_case()
         worker = self.run_single_rank_worker(config)
         rng = np.random.default_rng(11)
-        arr = rng.standard_normal(worker._arr_shape)
-        worker.dssum(arr)
-        self.assert_interfaces_bitwise_equal(config, arr)
+        q = worker._q
+        fresh = np.empty(worker._arr_shape)
+        for arr, other in ((q, fresh), (fresh, q), (q, fresh)):
+            arr[...] = rng.standard_normal(worker._arr_shape)
+            untouched = other.tobytes()
+            expected = self.run_single_rank_worker(config).dssum(arr.copy())
+            assert worker.dssum(arr) is arr
+            self.assert_interfaces_bitwise_equal(config, arr)
+            assert arr.tobytes() == expected.tobytes()
+            assert other.tobytes() == untouched
 
     @staticmethod
     def assert_interfaces_bitwise_equal(config, arr):
@@ -302,6 +313,62 @@ class TestMatvec:
         for p, got in ((first, first_bytes), (second, q.tobytes())):
             expected = worker.dssum(reference_apply_grid(worker.op, p))
             assert got == (expected * wall_oracle(worker)).tobytes()
+
+
+    def test_work_unit_prepares_one_product_list_per_rank(self, monkeypatch):
+        # matvec applies the operator to the same p and q all unit long, so
+        # each rank's operator prepares its products once in three steps
+        prepared = []
+        prepare = ElementOperator._prepare
+
+        def counted_prepare(op, grid, out):
+            prepared.append(op)
+            return prepare(op, grid, out)
+
+        monkeypatch.setattr(ElementOperator, "_prepare", counted_prepare)
+        config = small_case(steps=3)
+        report = run_work_unit(config, n_ranks=2)
+        assert report.iterations == (config.cg_iters_per_step,) * 3
+        assert len(prepared) == 2
+        assert prepared[0] is not prepared[1]
+
+
+class TestWorkUnitArguments:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_ranks": 0}, "n_ranks must be an integer >= 1"),
+            ({"n_ranks": 2.0}, "n_ranks must be an integer"),
+            ({"n_ranks": True}, "n_ranks must be an integer"),
+            ({"n_ranks": 4, "plan": 2}, "does not match the plan's 2 ranks"),
+            ({"max_iters": -3}, "max_iters must be an integer >= 0"),
+            ({"max_iters": 2.5}, "max_iters must be an integer"),
+            ({"rtol": math.nan}, "rtol must be finite"),
+            ({"rtol": math.inf}, "rtol must be finite"),
+            ({"rtol": 0.0}, "rtol must be a number > 0"),
+            ({"rtol": -1e-6}, "rtol must be a number > 0"),
+        ],
+    )
+    def test_refused_before_any_rank_starts(self, monkeypatch, kwargs, message):
+        config = small_case()
+        if "plan" in kwargs:
+            kwargs["plan"] = partition_elements(config, kwargs["plan"])
+
+        def no_fabric(n_ranks):
+            raise AssertionError("a rank started")
+
+        monkeypatch.setattr(solver, "loopback_transport", no_fabric)
+        with pytest.raises(ValueError, match=message):
+            run_work_unit(config, **kwargs)
+
+    def test_edge_values_run(self):
+        config = small_case()
+        report = run_work_unit(
+            config, plan=partition_elements(config, 2), n_ranks=2,
+            max_iters=0, rtol=1e-300,
+        )
+        assert len(report.rank_steps) == 2
+        assert report.iterations == (0,)
 
 
 class TestDotPartial:

@@ -75,6 +75,13 @@ def test_unknown_peer_rejected():
         a.send(5, np.ones(1), tag="halo")
 
 
+def test_receive_from_unknown_peer_rejected():
+    a, _ = loopback_transport(2)
+    for peer in (0, 2, -1):
+        with pytest.raises(ValueError, match="^rank 0 has no peer"):
+            a.receive(peer, tag="halo")
+
+
 def test_barrier_releases_when_all_arrive():
     endpoints = loopback_transport(4)
     arrived = []
