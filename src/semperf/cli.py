@@ -71,7 +71,7 @@ class ToolConfig:
         """
         where = "JSON"
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
             where = "top level"
             if not (
                 isinstance(raw, dict)
@@ -275,7 +275,7 @@ def cmd_predict(args):
 
 def _read_calibration_table(path):
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
     if path.suffix.lower() == ".json":
         table = json.loads(text)
     else:
@@ -328,7 +328,7 @@ def cmd_calibrate(args):
 
 
 def _read_samples(path):
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     samples = []
     header_allowed = True
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -10,9 +10,13 @@ profiles carry indicative measured interconnect figures for prediction
 and calibration demos.
 """
 
+from dataclasses import asdict
+
 from .counts import MEGA, CaseConfig, step_flops
 from .gamma import MachineProfile
-from .refdata import STRONG_SCALING_ROWS
+from .refdata import (
+    DEGREE_SWEEP_ROWS, STRONG_SCALING_ROWS, WEAK_SCALING_4_PER_NODE,
+)
 
 # CG budget sized so one step of the canonical case costs the measured
 # 155.4 GFlop of total work (see scripts/tune_profiles.py).
@@ -79,27 +83,21 @@ def builtin_profiles():
 
 
 def example_config_dict():
-    """A ready-to-run tool configuration exercising every campaign kind."""
+    """A ready-to-run tool configuration exercising every campaign kind.
+
+    Its bench8 case is REFERENCE_STRONG_CASE, and the weak64 scales and the
+    swept degrees are those of the measured tables in refdata.
+    """
     return {
         "version": 1,
         "output_dir": "semperf-out",
         "formats": ["json", "csv"],
         "machines": {},
         "cases": {
-            "bench8": {
-                "elements": [8, 8, 8],
-                "degrees": [8, 8, 8],
-                "n_fields": 1,
-                "steps": 1,
-                "cg_iters_per_step": REFERENCE_ITERS_PER_STEP,
-            },
-            "small": {
-                "elements": [4, 4, 4],
-                "degrees": [4, 4, 4],
-                "n_fields": 1,
-                "steps": 1,
-                "cg_iters_per_step": 20,
-            },
+            "bench8": asdict(REFERENCE_STRONG_CASE),
+            "small": asdict(CaseConfig(
+                elements=(4, 4, 4), degrees=(4, 4, 4), cg_iters_per_step=20
+            )),
         },
         "campaigns": {
             "strong8": {
@@ -113,9 +111,8 @@ def example_config_dict():
                 "case": "bench8",
                 "machine": "pleiades2-sim",
                 "scales": [
-                    {"elements": [4, 4, 4], "p": 1},
-                    {"elements": [8, 8, 8], "p": 8},
-                    {"elements": [16, 16, 16], "p": 64},
+                    {"elements": elements, "p": p}
+                    for elements, p, _ in WEAK_SCALING_4_PER_NODE
                 ],
             },
             "degrees": {
@@ -123,7 +120,7 @@ def example_config_dict():
                 "case": "bench8",
                 "machine": "cray-xt3-sim",
                 "p_list": [4],
-                "degrees": [6, 7, 8, 9, 10, 11],
+                "degrees": [n for n, _, _ in DEGREE_SWEEP_ROWS],
             },
             "usage10h": {
                 "kind": "time_budget",

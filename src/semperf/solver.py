@@ -77,6 +77,21 @@ class WorkUnitReport:
         return tuple(s.iterations for s in self.rank_steps[0])
 
 
+# per direction x, y, z: the array axes of the element and the node index
+# in a block's (cz, cy, cx, f, nz, ny, nx) layout
+_AXES = ((2, 6), (1, 5), (0, 4))
+
+
+def _planes(arr, el_ax, node_ax):
+    """Views of one direction's planes of a block-shaped array: its lo and
+    hi end planes and, with more than one element along the direction, the
+    left and right sides of its interior interfaces (None otherwise)."""
+    a = np.moveaxis(arr, (el_ax, node_ax), (0, 1))
+    if len(a) == 1:
+        return a[0, 0], a[-1, -1], None, None
+    return a[0, 0], a[-1, -1], a[:-1, -1], a[1:, 0]
+
+
 class RankWorker:
     """State and kernels of one rank's block of elements.
 
@@ -91,9 +106,6 @@ class RankWorker:
     nodes no neighbor shares, so they are exact only for vectors that
     vanish there.
     """
-
-    _EL_AXIS = (2, 1, 0)  # array axis of the element index per direction
-    _NODE_AXIS = (6, 5, 4)  # array axis of the node index per direction
 
     def __init__(self, config, plan, endpoint):
         self.config = config
@@ -114,56 +126,40 @@ class RankWorker:
         self._q = np.empty(self._arr_shape)
         self._q_flat = self._q.reshape(-1)
 
-        # per direction: the halo (minus, plus, lo, hi, left, right), that is
-        # the face neighbors, the block's boundary planes and the planes of
-        # its own interior interfaces (None with one element along it); and,
-        # from the block's global element indices g, the coordinates, shaped
-        # to broadcast at the direction's element and node axes.  A side
-        # with no face neighbor is a box wall: its plane is Dirichlet.
-        ndim = len(self._arr_shape)
+        # one pass over the directions in dssum's sweep order (x, y, z): keep
+        # dssum's halo (axes, minus, plus); mark the walls, the Dirichlet end
+        # planes of a side with no face neighbor; sum in dssum's pairing
+        # (hi + lo) the end planes of one element's ones and Jacobi diagonal,
+        # a one-element block's two fields, so the multiplicity is exact and
+        # off the box walls the diagonal has the assembled bits; and spread
+        # the coordinates of the block's elements g along the direction's axes
+        tables = np.stack(
+            (np.ones(self._arr_shape[4:]), self.op.diagonal_grid())
+        )[None, None, None]
+        walls = np.zeros(self._arr_shape, dtype=bool)
         self._halo = []
         self._coordinates = []
-        walls = np.zeros(self._arr_shape, dtype=bool)
-        for ax, ((start, stop), (minus, plus)) in enumerate(
-            zip(self.block, plan.neighbors(self.rank))
+        for ax, ((start, stop), (minus, plus), axes) in enumerate(
+            zip(self.block, plan.neighbors(self.rank), _AXES)
         ):
-            el_ax, node_ax = self._EL_AXIS[ax], self._NODE_AXIS[ax]
-            lo = _plane_index(ndim, el_ax, 0, node_ax, 0)
-            hi = _plane_index(ndim, el_ax, -1, node_ax, -1)
-            left = right = None
-            if stop - start > 1:
-                left = _plane_index(ndim, el_ax, slice(None, -1), node_ax, -1)
-                right = _plane_index(ndim, el_ax, slice(1, None), node_ax, 0)
-            self._halo.append((minus, plus, lo, hi, left, right))
-            if minus is None:
-                walls[lo] = True
-            if plus is None:
-                walls[hi] = True
+            self._halo.append((axes, minus, plus))
+            lo, hi, _, _ = _planes(walls, *axes)
+            lo |= minus is None
+            hi |= plus is None
+            lo, hi, _, _ = _planes(tables, *axes)
+            lo[...] = hi[...] = hi + lo
             g = np.arange(start, stop)[:, None]
             coords_ax = (g + (bases[ax].nodes + 1.0) / 2.0) * extents[ax]
-            table = [1] * ndim
-            table[el_ax], table[node_ax] = coords_ax.shape
-            self._coordinates.append(coords_ax.reshape(table))
+            others = [i for i in range(walls.ndim) if i not in axes]
+            self._coordinates.append(np.expand_dims(coords_ax, others))
         # keep the walls as the flat indices of their nodes (on 8^3
         # elements, N=8, P=1: 242 KB, not 3 MB)
         self._walls = np.flatnonzero(walls)
         # dssum's last array, its shape and its halo plane views; none yet
         self._halo_planes = None, None, ()
-
-        # one element's inverse multiplicity and inverse Jacobi diagonal,
-        # (nz, ny, nx) tables that broadcast over the block: the element's
-        # ones and diagonal with each direction's end planes summed in
-        # dssum's sweep order (x, y, z) and pairing (hi + lo).  The
-        # multiplicity is then exact, and at every node off the box walls
-        # the diagonal has the assembled diagonal's bits.
-        tables = np.stack(
-            (np.ones(self._arr_shape[4:]), self.op.diagonal_grid())
-        )
-        for node_ax in self._NODE_AXIS:
-            planes = np.moveaxis(tables, node_ax - ndim, 0)
-            planes[0] = planes[-1] = planes[-1] + planes[0]
-        self.inv_mult, self.inv_diag = 1.0 / tables
-        # inv_mult as one element's row of points: the dots' weights
+        # the inverse multiplicity and Jacobi diagonal, (nz, ny, nx) tables
+        # that broadcast over the block; inv_mult's points weight the dots
+        self.inv_mult, self.inv_diag = 1.0 / tables[0, 0, 0]
         self._weights = self.inv_mult.reshape(-1)
         self.rhs = None
 
@@ -182,8 +178,8 @@ class RankWorker:
         last, shape, planes = self._halo_planes
         if not (arr is last and arr.shape == shape):
             planes = tuple(
-                (minus, plus, *(None if i is None else arr[i] for i in idx))
-                for minus, plus, *idx in self._halo
+                (minus, plus, *_planes(arr, *axes))
+                for axes, minus, plus in self._halo
             )
             self._halo_planes = arr, arr.shape, planes
         endpoint = self.endpoint
@@ -218,9 +214,6 @@ class RankWorker:
         words = self.endpoint.tag_words_sent
         messages = self.endpoint.tag_messages_sent["halo"]
         return self.counter.total, words["halo"], messages, words["reduce"]
-
-    def _allreduce(self, *partials):
-        return allreduce_sum(self.endpoint, partials)
 
     def matvec(self, p):
         q = self.op.apply_grid(p, counter=self.counter, out=self._q)
@@ -294,7 +287,7 @@ class RankWorker:
             rz_part += dot(rb, qb)
             rr_part += dot(rb, rb)
         self.counter.count(*(size * n for n in counts.VECTOR_FLOPS_PER_STEP))
-        rho, rr = self._allreduce(rz_part, rr_part)
+        rho, rr = allreduce_sum(self.endpoint, (rz_part, rr_part))
         rr0 = rr if rr > 0 else 1.0
         threshold = (rtol * rtol) * rr0 if rtol is not None else -math.inf
         iter_flops = (
@@ -312,7 +305,7 @@ class RankWorker:
             pq_part = 0.0
             for _, _, _, pb, qb, _ in blocks:
                 pq_part += dot(pb, qb)
-            den, = self._allreduce(pq_part)
+            den, = allreduce_sum(self.endpoint, (pq_part,))
             if den == 0.0:
                 # p.q underflowed while rho did not: stop, and take this
                 # unfinished iteration's operator off the tally, so the
@@ -333,7 +326,7 @@ class RankWorker:
                 np.multiply(db, rb, out=qb)
                 rz_part += dot(rb, qb)
                 rr_part += dot(rb, rb)
-            rho_new, rr = self._allreduce(rz_part, rr_part)
+            rho_new, rr = allreduce_sum(self.endpoint, (rz_part, rr_part))
             beta = rho_new / rho
             # the p update in the same blocks: the same bits as z + beta * p
             for _, _, _, pb, zb, _ in blocks:
@@ -343,13 +336,6 @@ class RankWorker:
             rho = rho_new
             iters += 1
         return self._x, iters, math.sqrt(rr / rr0)
-
-
-def _plane_index(ndim, el_ax, el_sel, node_ax, node_sel):
-    idx = [slice(None)] * ndim
-    idx[el_ax] = el_sel
-    idx[node_ax] = node_sel
-    return tuple(idx)
 
 
 def run_work_unit(
@@ -370,8 +356,8 @@ def run_work_unit(
     If a rank raises, the transport is aborted and that rank's exception
     is raised here.  Before any rank starts, a ``ValueError`` refuses an
     ``n_ranks`` that is not an integer >= 1 or that differs from the
-    plan's, a ``max_iters`` that is not an integer >= 0, and an ``rtol``
-    that is not a finite number > 0.
+    plan's, a plan built for another element grid, a ``max_iters`` that is
+    not an integer >= 0, and an ``rtol`` that is not a finite number > 0.
     """
     if n_ranks is not None:
         counts.require("n_ranks", n_ranks, 1, integer=True)
@@ -385,6 +371,9 @@ def run_work_unit(
         raise ValueError(
             f"n_ranks {n_ranks} does not match the plan's {plan.n_ranks} ranks"
         )
+    elif plan.elements != tuple(config.elements):
+        raise ValueError(f"the plan was built for {plan.elements} elements, "
+                         f"not the case's {tuple(config.elements)}")
     rank0, *others = loopback_transport(plan.n_ranks)
 
     def run_rank(endpoint):

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from semperf.kernel import ElementField
+from semperf.transport import allreduce_sum
 
 
 class CountingTally:
@@ -178,7 +179,9 @@ def ref_cg_step(worker, rtol=None, max_iters=None):
     r = worker.rhs.copy()
     z = worker.inv_diag * r
     counter.count(mul=size)
-    rho, rr = worker._allreduce(ref_dot(worker, r, z), ref_dot(worker, r, r))
+    rho, rr = allreduce_sum(
+        worker.endpoint, (ref_dot(worker, r, z), ref_dot(worker, r, r))
+    )
     rr0 = rr if rr > 0 else 1.0
     threshold = (rtol * rtol) * rr0 if rtol is not None else None
     p = z.copy()
@@ -188,7 +191,7 @@ def ref_cg_step(worker, rtol=None, max_iters=None):
             break
         counted = counter.additions, counter.multiplications
         q = worker.matvec(p)
-        den, = worker._allreduce(ref_dot(worker, p, q))
+        den, = allreduce_sum(worker.endpoint, (ref_dot(worker, p, q),))
         if den == 0.0:
             # the unfinished iteration counts nothing
             counter.additions, counter.multiplications = counted
@@ -199,8 +202,8 @@ def ref_cg_step(worker, rtol=None, max_iters=None):
         r -= alpha * q
         z = worker.inv_diag * r
         counter.count(add=2 * size, mul=3 * size)
-        rho_new, rr = worker._allreduce(
-            ref_dot(worker, r, z), ref_dot(worker, r, r)
+        rho_new, rr = allreduce_sum(
+            worker.endpoint, (ref_dot(worker, r, z), ref_dot(worker, r, r))
         )
         beta = rho_new / rho
         counter.count(div=1)

@@ -123,6 +123,13 @@ def config_path(tmp_path):
 
 
 class TestBench:
+    def test_byte_order_mark_config_loads(self, tmp_path):
+        cfg = {**example_config_dict(), "output_dir": str(tmp_path / "out")}
+        path = tmp_path / "semperf.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8-sig")
+        assert main(["bench", "strong8", "--config", str(path)]) == 0
+        assert (tmp_path / "out" / "strong8_records.json").exists()
+
     def test_strong_campaign_writes_outputs(self, config_path, tmp_path, capsys):
         code = main(["bench", "strong8", "--config", str(config_path)])
         assert code == 0
@@ -784,6 +791,17 @@ class TestCalibrate:
             fits.append(out.read_bytes())
         assert fits[0] == fits[1]
 
+    def test_byte_order_mark_gives_the_same_fit(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a byte-order mark
+        fits = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            table = tmp_path / f"{encoding}.csv"
+            table.write_text(CALIBRATION_CSV, encoding=encoding)
+            out = tmp_path / f"{encoding}.fit"
+            assert main(["calibrate", str(table), "--out", str(out)]) == 0
+            fits.append(out.read_bytes())
+        assert fits[0] == fits[1]
+
     def test_two_rows_degenerate(self, tmp_path, capsys):
         table = tmp_path / "short.csv"
         table.write_text(
@@ -976,6 +994,14 @@ class TestAnalyze:
         )
         assert code == 0
         assert "mean_E   1.0000" in capsys.readouterr().out
+
+    def test_byte_order_mark_keeps_the_first_sample(self, tmp_path, capsys):
+        samples = tmp_path / "usage.csv"
+        samples.write_text("0.5\n0.7\n", encoding="utf-8-sig")
+        assert main(["analyze", str(samples)]) == 0
+        out = capsys.readouterr().out
+        assert "samples  2\n" in out
+        assert "mean_E   0.6000" in out
 
     def test_empty_file(self, tmp_path):
         samples = tmp_path / "empty.csv"

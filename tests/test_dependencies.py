@@ -1,5 +1,5 @@
 """The package and scripts/ import nothing outside the standard library
-but numpy.
+but numpy, and numpy is the one runtime dependency pyproject.toml declares.
 
 Its model layer loads neither numpy nor the executed layer at import.
 """
@@ -7,6 +7,8 @@ Its model layer loads neither numpy nor the executed layer at import.
 import ast
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "semperf"
@@ -34,6 +36,15 @@ def test_package_imports_only_stdlib_and_numpy():
         if name not in ALLOWED and name not in sys.stdlib_module_names
     )
     assert third_party == []
+
+
+def test_numpy_is_the_one_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(
+        (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    )["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
+    assert "scipy>=1.10" in project["optional-dependencies"]["bench"]
 
 
 # The executed layer; every other module is the numpy-free model layer.

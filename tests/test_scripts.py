@@ -1,7 +1,9 @@
 """model_validation.py prints a table per measured table, including the
-tables of the one-table scripts it replaced, and tune_profiles.py
-reproduces the constants frozen in semperf/profiles.py."""
+tables of the one-table scripts it replaced, tune_profiles.py reproduces
+the constants frozen in semperf/profiles.py, and exec_digest.py's digest
+is repeatable."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -87,3 +89,19 @@ def test_tune_profiles_reproduces_frozen_constants():
         f"{profiles._XT3_PEAK_MFLOPS:.4f}",
         f"{profiles._XT3_RATE_CURVATURE:.6f}",
     )
+
+
+def test_exec_digest_is_repeatable():
+    # no pinned value: the executed bits depend on the numpy build
+    path = ROOT / "scripts" / "exec_digest.py"
+    spec = importlib.util.spec_from_file_location("exec_digest", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    config, rank_counts = min(
+        script.CASES,
+        key=lambda case: case[0].n_elements * case[0].points_per_element,
+    )
+    smallest = [(config, rank_counts[:1])]
+    first = script.exec_digest(smallest)
+    assert first == script.exec_digest(smallest)
+    assert first != script.exec_digest([(config, rank_counts[1:2])])

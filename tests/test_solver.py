@@ -340,19 +340,27 @@ class TestWorkUnitArguments:
             ({"n_ranks": 0}, "n_ranks must be an integer >= 1"),
             ({"n_ranks": 2.0}, "n_ranks must be an integer"),
             ({"n_ranks": True}, "n_ranks must be an integer"),
-            ({"n_ranks": 4, "plan": 2}, "does not match the plan's 2 ranks"),
+            ({"n_ranks": 4, "plan": (2, (2, 2, 2))},
+             "does not match the plan's 2 ranks"),
             ({"max_iters": -3}, "max_iters must be an integer >= 0"),
             ({"max_iters": 2.5}, "max_iters must be an integer"),
             ({"rtol": math.nan}, "rtol must be finite"),
             ({"rtol": math.inf}, "rtol must be finite"),
             ({"rtol": 0.0}, "rtol must be a number > 0"),
             ({"rtol": -1e-6}, "rtol must be a number > 0"),
+            ({"plan": (2, (4, 4, 4))},
+             r"built for \(4, 4, 4\) elements, not the case's \(2, 2, 2\)"),
+            ({"plan": (1, (2, 2, 1))},
+             r"built for \(2, 2, 1\) elements, not the case's \(2, 2, 2\)"),
         ],
     )
     def test_refused_before_any_rank_starts(self, monkeypatch, kwargs, message):
         config = small_case()
         if "plan" in kwargs:
-            kwargs["plan"] = partition_elements(config, kwargs["plan"])
+            n_ranks, elements = kwargs["plan"]
+            kwargs["plan"] = partition_elements(
+                small_case(elements=elements), n_ranks
+            )
 
         def no_fabric(n_ranks):
             raise AssertionError("a rank started")
