@@ -4,7 +4,7 @@ Exit codes are a stable contract: 0 success, 2 input/config error or an
 unreadable or unwritable path, 3 run failure, 4 degenerate calibration.
 ``bench`` names the failing campaign on a run failure; main() maps every
 other exception to its code.  The config file is
-JSON with a ``version`` key, built whole when it loads; see
+JSON with ``version`` 1, built whole when it loads; see
 example_config_dict() or README for the schema.  The SEMPERF_CONFIG
 environment variable supplies the default config path.
 """
@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .counts import CaseConfig
+from .counts import CaseConfig, require
 from .errors import CalibrationDegenerateError, SemperfError
 from .gamma import (
     CalibrationInput,
@@ -59,7 +59,6 @@ class ToolConfig:
     machines: dict
     campaigns: dict
     output_dir: Path
-    formats: tuple = ("json", "csv")
 
     @classmethod
     def from_path(cls, path):
@@ -85,7 +84,10 @@ class ToolConfig:
                     "need a JSON object with a version key and objects for "
                     "machines, cases and campaigns"
                 )
-            raw.pop("version")
+            version = raw.pop("version")
+            require("version", version, 1, integer=True)
+            if version != 1:
+                raise ValueError(f"version must be 1 (got {version})")
             machines = dict(builtin_profiles())
             for name, params in raw.pop("machines", {}).items():
                 where = f"machine {name!r}"
@@ -104,15 +106,6 @@ class ToolConfig:
             for name, cdef in raw.pop("campaigns", {}).items():
                 where = f"campaign {name!r}"
                 campaigns[name] = _campaign_from_dict(cdef, cases, machines)
-            where = "formats"
-            formats = raw.pop("formats", ["json", "csv"])
-            if not (
-                isinstance(formats, list)
-                and all(f in ("json", "csv") for f in formats)
-            ):
-                raise ValueError(
-                    f"must be a list of json and csv (got {formats!r})"
-                )
             where = "output_dir"
             output_dir = Path(raw.pop("output_dir", "semperf-out"))
             where = "top level"
@@ -125,10 +118,7 @@ class ToolConfig:
             )
             raise ValueError(f"config {path}, {where}: {detail}") from exc
         return cls(
-            machines=machines,
-            campaigns=campaigns,
-            output_dir=output_dir,
-            formats=tuple(formats),
+            machines=machines, campaigns=campaigns, output_dir=output_dir
         )
 
     def ensure_output_dir(self, override=None):
@@ -208,12 +198,11 @@ def cmd_bench(args):
             f"campaign {args.campaign!r} failed: {exc}", file=sys.stderr
         )
         return EXIT_RUN
-    files = {}
-    if "json" in config.formats:
-        files["records.json"] = records_to_json(records)
-    if "csv" in config.formats:
-        files["summary.csv"] = records_to_summary_csv(records)
-        files["steps.csv"] = records_to_steps_csv(records)
+    files = {
+        "records.json": records_to_json(records),
+        "summary.csv": records_to_summary_csv(records),
+        "steps.csv": records_to_steps_csv(records),
+    }
     if any(rec.window_samples for rec in records):
         files["windows.csv"] = records_to_windows_csv(records, spec.window_s)
     out = config.ensure_output_dir(args.out)
@@ -327,6 +316,14 @@ def cmd_calibrate(args):
     return EXIT_OK
 
 
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_samples(path):
     text = Path(path).read_text(encoding="utf-8-sig")
     samples = []
@@ -335,10 +332,12 @@ def _read_samples(path):
         line = line.strip()
         if not line:
             continue
+        cells = line.replace(",", " ").split()
         try:
-            samples.append(float(line.replace(",", " ").split()[-1]))
+            samples.append(float(cells[-1]))
         except (ValueError, IndexError):
-            if not header_allowed:
+            # only a first line with no number in any cell is a header
+            if not header_allowed or any(map(_is_number, cells)):
                 raise ValueError(
                     f"{path}:{lineno}: cannot parse a usage value from "
                     f"{line!r}"

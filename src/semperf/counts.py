@@ -138,11 +138,12 @@ class StepRecord:
     """One work step: exact counters, wall time and the modeled time split.
 
     An executed step carries one rank's figures, or all ranks' combined;
-    its ``t_p``/``t_c``/``t_l`` are None.  Its halo counters count the
+    its ``cputime`` is the thread CPU seconds of its ``run_step``, and its
+    ``t_p``/``t_c``/``t_l`` are None.  Its halo counters count the
     exchanges performed, so a step that stops on an underflowing ``p.q``
     counts one exchange more than its iterations.  A modeled step has no
-    residual or reduction count, and its wall time is the sum of the
-    modeled parts.
+    residual, reduction count or CPU time, and its wall time is the sum of
+    the modeled parts.
     """
 
     iterations: int
@@ -152,6 +153,7 @@ class StepRecord:
     halo_messages: int
     reduce_words_sent: int = None
     walltime: float
+    cputime: float = None
     t_p: float = None
     t_c: float = None
     t_l: float = None

@@ -183,11 +183,13 @@ _STEP_FIELDS = {
 
 def _step_json_dict(step):
     d = {key: getattr(step, attr) for key, attr in _STEP_FIELDS.items()}
-    # executed steps only: a modeled step has no residual or reduction
-    # count, and its JSON keeps the bytes it had before the keys existed
+    # executed steps only: a modeled step has no residual, reduction
+    # count or CPU time, and its JSON keeps the bytes it had before the
+    # keys existed
     executed = {
         "reduce_words": step.reduce_words_sent,
         "rel_residual": step.rel_residual,
+        "cputime_s": step.cputime,
     }
     return d | {key: v for key, v in executed.items() if v is not None}
 

@@ -91,7 +91,6 @@ def example_config_dict():
     return {
         "version": 1,
         "output_dir": "semperf-out",
-        "formats": ["json", "csv"],
         "machines": {},
         "cases": {
             "bench8": asdict(REFERENCE_STRONG_CASE),

@@ -60,12 +60,14 @@ class WorkUnitReport:
 
     @property
     def steps(self):
-        """Per step, the ranks' records combined: counts add up, the slowest
-        rank sets the wall time, rank 0 gives iterations and residual."""
+        """Per step, the ranks' records combined: counts and CPU times add
+        up, the slowest rank sets the wall time, rank 0 gives iterations
+        and residual."""
         return tuple(
             replace(
                 per_rank[0],
                 walltime=max(s.walltime for s in per_rank),
+                cputime=sum(s.cputime for s in per_rank),
                 **{c: sum(getattr(s, c) for s in per_rank)
                    for c in STEP_COUNTERS},
             )
@@ -387,15 +389,19 @@ def run_work_unit(
             for _ in range(config.steps):
                 endpoint.barrier()
                 before = worker.tally()
+                # the CPU clock's reads inside the wall clock's, so the
+                # step's CPU time never exceeds its wall time
                 t0 = time.perf_counter()
+                c0 = time.thread_time()
                 solution, iters, rel = worker.run_step(
                     rtol=rtol, max_iters=max_iters
                 )
+                cputime = time.thread_time() - c0
                 walltime = time.perf_counter() - t0
                 grown = map(operator.sub, worker.tally(), before)
                 steps.append(StepRecord(
                     iterations=iters, rel_residual=rel, walltime=walltime,
-                    **dict(zip(STEP_COUNTERS, grown)),
+                    cputime=cputime, **dict(zip(STEP_COUNTERS, grown)),
                 ))
         except BaseException:
             endpoint.abort()

@@ -310,6 +310,20 @@ class TestBench:
         path.write_text("{}", encoding="utf-8")
         assert main(["bench", "x", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("version", ["banana", 2, 0, 1.0, True, None])
+    def test_version_must_be_the_integer_1(self, tmp_path, capsys, version):
+        cfg = {**example_config_dict(), "version": version}
+        cfg["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["bench", "strong8", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: config {path}, top level: version must be"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "campaign,top",
         [
@@ -349,8 +363,6 @@ class TestBench:
             (degree_campaign(1, 8), {}),
             (degree_campaign("8"), {}),
             ("strong8", {}),
-            (strong_campaign(1, 2), {"formats": "json"}),
-            (strong_campaign(1, 2), {"formats": ["json", "xml"]}),
             ({**strong_campaign(1, 2), "case": [1]}, {}),
             (strong_campaign(1, 2), {"machines": []}),
             (strong_campaign(1, 2), {"cases": [1]}),
@@ -388,7 +400,7 @@ class TestBench:
             "p_list-string", "p_list-float",
             "p_list-zero", "p_list-bool", "scales-p-zero",
             "scales-elements-zero", "degrees-one", "degrees-string",
-            "campaign-not-an-object", "formats-string", "formats-unknown",
+            "campaign-not-an-object",
             "case-not-a-name", "machines-list", "cases-list",
             "budget_s-huge", "iterations-huge", "strong-no-p_list",
             "weak-no-scales", "degrees-two-p", "budget-two-p",
@@ -463,6 +475,10 @@ class TestBench:
                 "top level", "unknown key 'output-dir'",
             ),
             (
+                strong_campaign(1), {"formats": ["json", "csv"]},
+                "top level", "unknown key 'formats'",
+            ),
+            (
                 weak_campaign(q=5), {},
                 "campaign 'bad'", "unknown key 'q'",
             ),
@@ -490,7 +506,7 @@ class TestBench:
                 "campaign 'bad'", "strong campaign takes no budget_s",
             ),
         ],
-        ids=["case", "campaign", "top-level", "scale-point",
+        ids=["case", "campaign", "top-level", "formats", "scale-point",
              "strong-degrees-unread", "strong-scales-unread", "scale-p-zero",
              "weak-p_list-unread", "strong-budget_s-unread"],
     )
@@ -510,34 +526,21 @@ class TestBench:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "formats,campaign,written",
+        "campaign,written",
         [
-            (["json"], "strong8", ["records.json"]),
-            (["csv"], "strong8", ["steps.csv", "summary.csv"]),
-            (None, "strong8", ["records.json", "steps.csv", "summary.csv"]),
-            (["json"], "usage10h", ["records.json", "windows.csv"]),
-            (["csv"], "usage10h", ["steps.csv", "summary.csv", "windows.csv"]),
+            ("strong8", ["records.json", "steps.csv", "summary.csv"]),
             (
-                None, "usage10h",
+                "usage10h",
                 ["records.json", "steps.csv", "summary.csv", "windows.csv"],
             ),
         ],
-        ids=["json", "csv", "default", "budget-json", "budget-csv",
-             "budget-default"],
+        ids=["strong8", "usage10h"],
     )
-    def test_formats_select_the_files_written(
-        self, tmp_path, capsys, formats, campaign, written
+    def test_bench_writes_the_fixed_file_set(
+        self, config_path, tmp_path, capsys, campaign, written
     ):
-        # a time budget's usage windows are written whatever formats says;
-        # no formats key writes both
-        cfg = example_config_dict()
-        cfg["output_dir"] = str(tmp_path / "out")
-        cfg.pop("formats")
-        if formats is not None:
-            cfg["formats"] = formats
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg), encoding="utf-8")
-        assert main(["bench", campaign, "--config", str(path)]) == 0
+        # a time budget adds its usage windows
+        assert main(["bench", campaign, "--config", str(config_path)]) == 0
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             f"{campaign}_{suffix}" for suffix in written
         ]
@@ -1014,6 +1017,8 @@ class TestAnalyze:
             ("0.0,0.5\n20.0,0.5x\n40.0,0.7\n", 2),
             ("timestamp,usage\n\n0.0,0.5\n20.0,0.5x\n40.0,0.7\n", 4),
             ("0.0,0.5\n,\n40.0,0.7\n", 2),
+            # a first line with a number in it is data, not a header
+            ("0,0.5x\n20,0.7\n", 1),
         ],
     )
     def test_unparseable_data_row_is_input_error(

@@ -364,6 +364,16 @@ class TestExecutedMode:
         assert a.steps[0].halo_words_sent == b.steps[0].halo_words_sent
         assert a.steps[0].halo_messages == b.steps[0].halo_messages
 
+    def test_only_executed_steps_write_cpu_time(self, machines):
+        spec = strong_spec(machines, mode="exec", p_list=(2,),
+                           case=self.exec_case())
+        (executed,) = json.loads(records_to_json(run_strong_scaling(spec)))
+        (modeled,) = json.loads(records_to_json(
+            run_strong_scaling(replace(spec, mode="sim"))
+        ))
+        assert all(s["cputime_s"] > 0 for s in executed["steps"])
+        assert all("cputime_s" not in s for s in modeled["steps"])
+
     def test_executed_kinds_and_efficiency(self, machines):
         # only a strong campaign with a P=1 point derives an efficiency
         case = CaseConfig(

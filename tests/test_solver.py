@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -26,7 +27,7 @@ from semperf.solver import (
     default_solution,
     run_work_unit,
 )
-from semperf.transport import loopback_transport
+from semperf.transport import WAIT_TIMEOUT_S, loopback_transport
 
 from reference import ref_cg_step, ref_dot, reference_apply_grid
 
@@ -231,14 +232,14 @@ class TestWordAccounting:
                 assert step.flops == step_flops(
                     replace(config, elements=block), 1, k
                 )
-        # counts add up, the slowest rank sets the wall time, and rank 0
-        # gives iterations and residual
+        # counts and CPU times add up, the slowest rank sets the wall time,
+        # and rank 0 gives iterations and residual
         assert report.steps == tuple(
             replace(
                 per_rank[0],
                 **{key: sum(getattr(s, key) for s in per_rank)
                    for key in ("flops", "halo_words_sent", "halo_messages",
-                               "reduce_words_sent")},
+                               "reduce_words_sent", "cputime")},
                 walltime=max(s.walltime for s in per_rank),
             )
             for per_rank in zip(*report.rank_steps)
@@ -705,6 +706,49 @@ class TestRankFailure:
         )
 
 
+class TestRankFailureInProcess:
+    # rank 1 runs on the pool's thread, rank 0 on the caller's; the other
+    # rank sees the abort and reports TransportAborted, which must not be
+    # the error raised
+    @pytest.mark.parametrize("failing", [1, 0], ids=["pool", "caller"])
+    @pytest.mark.parametrize(
+        "method,nth", [("setup", 1), ("matvec", 3)], ids=["setup", "matvec"]
+    )
+    def test_raises_the_failing_rank_s_error(
+        self, monkeypatch, method, nth, failing
+    ):
+        original = getattr(RankWorker, method)
+        calls = []
+
+        def fail_on_nth_call(self, *args, **kwargs):
+            if self.rank == failing:
+                calls.append(method)
+                if len(calls) == nth:
+                    raise RuntimeError(f"rank {failing} failed in {method}")
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RankWorker, method, fail_on_nth_call)
+        t0 = time.perf_counter()
+        with pytest.raises(
+            RuntimeError, match=f"^rank {failing} failed in {method}$"
+        ):
+            run_work_unit(small_case(elements=(2, 1, 1)), n_ranks=2)
+        assert time.perf_counter() - t0 < WAIT_TIMEOUT_S / 10
+        assert len(calls) == nth
+
+
+class TestStepCpuTime:
+    def test_each_rank_s_cpu_time_is_positive_and_within_its_wall(self):
+        resolution = time.get_clock_info("thread_time").resolution
+        report = run_work_unit(small_case(elements=(2, 1, 1), steps=2),
+                               n_ranks=2)
+        for steps in report.rank_steps:
+            for s in steps:
+                assert 0 < s.cputime <= s.walltime + resolution
+        for i, step in enumerate(report.steps):
+            assert step.cputime == sum(r[i].cputime for r in report.rank_steps)
+
+
 class TestRankThreads:
     @staticmethod
     def forcing_threads(n_ranks):
@@ -732,6 +776,11 @@ class TestInPlaceLoop:
     def rough_forcing(x, y, z):
         return np.sin(3 * np.pi * x + 0.3) * np.cos(2 * np.pi * y + 1.1) + z
 
+    @staticmethod
+    def untimed(steps):
+        """The steps with their measured times zeroed."""
+        return [replace(s, walltime=0.0, cputime=0.0) for s in steps]
+
     # rtol 0.1 stops each step at 11 of its 12 iterations
     @pytest.mark.parametrize("rtol", [None, 0.1])
     @pytest.mark.parametrize("n_ranks", [1, 2, 3])
@@ -753,9 +802,7 @@ class TestInPlaceLoop:
         monkeypatch.setattr(RankWorker, "run_step", ref_cg_step)
         reference = run()
         # iterations, residual and every counter of each step
-        assert [replace(s, walltime=0.0) for s in product.steps] == [
-            replace(s, walltime=0.0) for s in reference.steps
-        ]
+        assert self.untimed(product.steps) == self.untimed(reference.steps)
         assert product.fields.keys() == reference.fields.keys()
         for key, grid in product.fields.items():
             assert grid.tobytes() == reference.fields[key].tobytes()
@@ -782,9 +829,7 @@ class TestInPlaceLoop:
         product = run()
         monkeypatch.setattr(RankWorker, "run_step", ref_cg_step)
         reference = run()
-        assert [replace(s, walltime=0.0) for s in product.steps] == [
-            replace(s, walltime=0.0) for s in reference.steps
-        ]
+        assert self.untimed(product.steps) == self.untimed(reference.steps)
         assert product.fields.keys() == reference.fields.keys()
         for key, grid in product.fields.items():
             assert grid.tobytes() == reference.fields[key].tobytes()
@@ -857,9 +902,7 @@ class TestInPlaceLoop:
         assert product.iterations[0] == (354 if budget == 2000 else 0)
         monkeypatch.setattr(RankWorker, "run_step", ref_cg_step)
         reference = run()
-        assert [replace(s, walltime=0.0) for s in product.steps] == [
-            replace(s, walltime=0.0) for s in reference.steps
-        ]
+        assert self.untimed(product.steps) == self.untimed(reference.steps)
         assert product.fields.keys() == reference.fields.keys()
         for key, grid in product.fields.items():
             assert grid.tobytes() == reference.fields[key].tobytes()
